@@ -206,8 +206,8 @@ def cmd_run(
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_worker(args: tuple[dict, str, str]) -> dict:
-    raw, scenario_dir, _label = args
+def _sweep_worker(args: tuple[dict, str]) -> dict:
+    raw, scenario_dir = args
     cfg = ScenarioConfig.from_dict(raw)
     return _execute(raw, cfg, Path(scenario_dir))
 
@@ -257,7 +257,7 @@ def cmd_sweep(
             else:
                 apply_override(raw, param, value)
             ScenarioConfig.from_dict(raw)  # validate before launching anything
-            jobs.append((raw, str(Path(out_dir) / f"run-{i:03d}"), f"{value:g}"))
+            jobs.append((raw, str(Path(out_dir) / f"run-{i:03d}")))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -104,18 +104,23 @@ def kinetic_ceiling(space: Space, h: HamiltonianSpec) -> float:
     return total
 
 
+def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:
+    """Reject a zero step, or one whose fastest kinetic phase aliases."""
+    if dt == 0.0:
+        raise ValidationError("time step must be nonzero")
+    ceiling = kinetic_ceiling(space, h)
+    if abs(dt) * ceiling / h.hbar > math.pi + 1e-12:
+        raise ValidationError(
+            f"time step {dt:g} violates the anti-aliasing bound "
+            f"dt * T_max / hbar <= pi (T_max = {ceiling:g})"
+        )
+
+
 class _SplitStepPlan:
     """Precomputed phase arrays for one (space, Hamiltonian, dt) combination."""
 
     def __init__(self, space: Space, h: HamiltonianSpec, dt: float):
-        if dt == 0.0:
-            raise ValidationError("time step must be nonzero")
-        ceiling = kinetic_ceiling(space, h)
-        if abs(dt) * ceiling / h.hbar > math.pi + 1e-12:
-            raise ValidationError(
-                f"time step {dt:g} violates the anti-aliasing bound "
-                f"dt * T_max / hbar <= pi (T_max = {ceiling:g})"
-            )
+        check_time_step(space, h, dt)
         self.space = space
         self.dt = dt
         self.hbar = h.hbar
@@ -271,7 +276,7 @@ def evolve_exact(
     for n in range(1, steps + 1):
         amps = plan.step(amps)
         if n % checkpoint_every == 0 or n == steps:
-            state = StateVector(psi0.space, amps, psi0.norm_tolerance)
+            state = StateVector(psi0.space, amps)
             trajectory.append((n * dt, state))
             norm_drift = max(norm_drift, abs(state.norm - 1.0))
     final = trajectory[-1][1]
@@ -379,7 +384,7 @@ def apply_hamiltonian(state: StateVector, h: HamiltonianSpec) -> StateVector:
         moved = np.moveaxis(state.amplitudes, axis, -1)
         moved = np.einsum("ij,...j->...i", _check_hermitian(matrix, "internal"), moved)
         out += np.moveaxis(moved, -1, axis)
-    return StateVector(space, out, state.norm_tolerance)
+    return StateVector(space, out)
 
 
 def interaction_term(state: StateVector, h: HamiltonianSpec) -> StateVector:
@@ -406,7 +411,7 @@ def interaction_term(state: StateVector, h: HamiltonianSpec) -> StateVector:
     # profile carries a singleton along the level axis, so it broadcasts as-is
     moved = np.moveaxis(profile * state.amplitudes, axis, -1)
     moved = np.einsum("ij,...j->...i", matrix, moved)
-    return StateVector(space, np.moveaxis(moved, -1, axis), state.norm_tolerance)
+    return StateVector(space, np.moveaxis(moved, -1, axis))
 
 
 def total_energy(state: StateVector, h: HamiltonianSpec) -> float:

@@ -151,7 +151,6 @@ class StateVector:
 
     space: Space
     amplitudes: np.ndarray
-    norm_tolerance: float = 1e-10
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -175,7 +174,7 @@ class StateVector:
         n = self.norm
         if n == 0.0:
             raise ValidationError("cannot normalize a zero state")
-        return StateVector(self.space, self.amplitudes / n, self.norm_tolerance)
+        return StateVector(self.space, self.amplitudes / n)
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,7 @@ def apply_momentum(
     shape[axis] = k.size
     phase = (hbar * k.reshape(shape)) ** power
     amps = np.fft.ifft(phase * np.fft.fft(state.amplitudes, axis=axis), axis=axis)
-    return StateVector(state.space, amps, state.norm_tolerance)
+    return StateVector(state.space, amps)
 
 
 def expect_momentum(state: StateVector, label: str, hbar: float = 1.0) -> float:

@@ -23,15 +23,18 @@ probability mass inside the near region exceeds 1 - eps at the final time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from itertools import combinations
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .dynamics import (
     HamiltonianSpec,
     Interaction,
+    check_time_step,
     evolve_exact,
     evolve_factorized,
     factorization_residual,
@@ -78,22 +81,6 @@ COEFF_NORM_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-def _complex_array(obj: Any, what: str) -> np.ndarray:
-    """Decode {"real": ..., "imag": ...} into a complex array."""
-    if not isinstance(obj, dict) or "real" not in obj:
-        raise ValidationError(f"{what} must be an object with 'real' (and optional 'imag')")
-    real = np.asarray(obj["real"], dtype=float)
-    imag = np.asarray(obj.get("imag", np.zeros_like(real)), dtype=float)
-    if real.shape != imag.shape:
-        raise ValidationError(f"{what}: real and imag parts differ in shape")
-    return real + 1j * imag
-
-
-def _encode_complex(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr)
-    return {"real": arr.real.tolist(), "imag": arr.imag.tolist()}
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -186,9 +173,11 @@ class FreeParticleSpec:
 
 @dataclass(eq=False)
 class MeasurementSpec:
+    """Entangled pair: `a` is absorbed near the heavy system, `b` flies free."""
+
     coefficients: np.ndarray
-    absorbed: AbsorbedParticleSpec
-    free: FreeParticleSpec
+    a: AbsorbedParticleSpec
+    b: FreeParticleSpec
 
 
 @dataclass(frozen=True)
@@ -206,123 +195,38 @@ class SeedsSpec:
 
 @dataclass(eq=False)
 class ScenarioConfig:
+    """Scenario parameters.  Each field name is its JSON key (SCHEMA.md), and
+    the field types and defaults are the whole config schema."""
+
     scenario: str
-    hbar: float
-    mass_unit: float
     dt: float
-    checkpoint_every: int
     schedule: ScheduleSpec
     center_of_mass: CenterOfMassSpec
     internal: InternalSpec
     coupling: CouplingSpec
     partition: PartitionGeometry
     seeds: SeedsSpec
+    hbar: float = 1.0
+    mass_unit: float = 1.0
+    checkpoint_every: int = 100
     particle: ParticleSpec | None = None
     measurement: MeasurementSpec | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        try:
-            return cls._parse(raw)
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"config is missing or mistypes a field: {exc}") from exc
-
-    @classmethod
-    def _parse(cls, raw: dict) -> "ScenarioConfig":
-        scenario = raw["scenario"]
-        if scenario not in ("collision", "position_measurement"):
-            raise ValidationError(
-                f"unknown scenario {scenario!r}: expected 'collision' or "
-                "'position_measurement'"
-            )
-        sched = raw["schedule"]
-        schedule = ScheduleSpec(
-            float(sched["t_initial"]), float(sched["t_interaction"]), float(sched["t_final"])
-        )
-        cm_raw = raw["center_of_mass"]
-        cm = CenterOfMassSpec(
-            masses=tuple(float(m) for m in cm_raw["masses"]),
-            sigma_ref=float(cm_raw["sigma_ref"]),
-            points=int(cm_raw["points"]),
-            half_width_sigmas=float(cm_raw["half_width_sigmas"]),
-            residual_points=int(cm_raw.get("residual_points", 256)),
-            residual_half_width=float(cm_raw.get("residual_half_width", 16.0)),
-        )
-        internal_raw = raw["internal"]
-        internal = InternalSpec(
-            dim=int(internal_raw["dim"]),
-            state=_complex_array(internal_raw["state"], "internal state"),
-            hamiltonian=_complex_array(internal_raw["hamiltonian"], "internal Hamiltonian"),
-        )
-        coupling_raw = raw["coupling"]
-        coupling = CouplingSpec(
-            strength=float(coupling_raw["strength"]),
-            width=float(coupling_raw["width"]),
-            matrix=_complex_array(coupling_raw["matrix"], "coupling matrix"),
-        )
-        part_raw = raw["partition"]
-        partition = PartitionGeometry(
-            float(part_raw["near_lo"]), float(part_raw["near_hi"]), float(part_raw["eps"])
-        )
-        seeds_raw = raw["seeds"]
-        seeds = SeedsSpec(int(seeds_raw["branch"]), int(seeds_raw["trials"]))
-
-        particle = None
-        if raw.get("particle") is not None:
-            p = raw["particle"]
-            particle = ParticleSpec(
-                grid=GridSpec(int(p["grid"]["points"]), float(p["grid"]["x_min"]),
-                              float(p["grid"]["x_max"])),
-                mass=float(p["mass"]),
-                packet=PacketSpec(float(p["packet"]["r0"]), float(p["packet"]["p0"]),
-                                  float(p["packet"]["sigma"])),
-            )
-        measurement = None
-        if raw.get("measurement") is not None:
-            m = raw["measurement"]
-            a_raw, b_raw = m["a"], m["b"]
-            measurement = MeasurementSpec(
-                coefficients=_complex_array(m["coefficients"], "measurement coefficients"),
-                absorbed=AbsorbedParticleSpec(
-                    grid=GridSpec(int(a_raw["grid"]["points"]), float(a_raw["grid"]["x_min"]),
-                                  float(a_raw["grid"]["x_max"])),
-                    mass=float(a_raw["mass"]),
-                    packets=tuple(
-                        PacketSpec(float(p["r0"]), float(p["p0"]), float(p["sigma"]))
-                        for p in a_raw["packets"]
-                    ),
-                    trap=TrapSpec(float(a_raw["trap"]["depth"]), float(a_raw["trap"]["width"]),
-                                  tuple(float(c) for c in a_raw["trap"]["centers"])),
-                ),
-                free=FreeParticleSpec(
-                    grid=GridSpec(int(b_raw["grid"]["points"]), float(b_raw["grid"]["x_min"]),
-                                  float(b_raw["grid"]["x_max"])),
-                    mass=float(b_raw["mass"]),
-                    packets=tuple(
-                        PacketSpec(float(p["r0"]), float(p["p0"]), float(p["sigma"]))
-                        for p in b_raw["packets"]
-                    ),
-                ),
-            )
-        cfg = cls(
-            scenario=scenario,
-            hbar=float(raw.get("hbar", 1.0)),
-            mass_unit=float(raw.get("mass_unit", 1.0)),
-            dt=float(raw["dt"]),
-            checkpoint_every=int(raw.get("checkpoint_every", 100)),
-            schedule=schedule,
-            center_of_mass=cm,
-            internal=internal,
-            coupling=coupling,
-            partition=partition,
-            seeds=seeds,
-            particle=particle,
-            measurement=measurement,
-        )
+        cfg = _decode(cls, raw, "")
         cfg.validate()
         return cfg
 
+    def to_dict(self) -> dict:
+        return _encode(self)
+
     def validate(self) -> None:
+        if self.scenario not in ("collision", "position_measurement"):
+            raise ValidationError(
+                f"unknown scenario {self.scenario!r}: expected 'collision' or "
+                "'position_measurement'"
+            )
         s = self.schedule
         if not (0.0 <= s.t_initial < s.t_interaction < s.t_final):
             raise ValidationError(
@@ -335,6 +239,8 @@ class ScenarioConfig:
         ratio = s.t_final / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("t_final must be an integer multiple of dt")
+        if self.checkpoint_every < 1:
+            raise ValidationError("checkpoint_every must be >= 1")
         if any(m <= 0.0 for m in self.center_of_mass.masses):
             raise ValidationError("all masses must be positive")
         if not self.center_of_mass.masses:
@@ -349,12 +255,15 @@ class ScenarioConfig:
             raise ValidationError("coupling width must be positive")
         if self.partition.eps <= 0.0 or self.partition.near_lo >= self.partition.near_hi:
             raise ValidationError("partition needs near_lo < near_hi and eps > 0")
+        if self.seeds.branch < 0:
+            raise ValidationError("seeds.branch must be >= 0")
         if self.seeds.trials < 1:
             raise ValidationError("seeds.trials must be >= 1")
         if self.scenario == "collision":
-            if self.particle is None:
+            p = self.particle
+            if p is None:
                 raise ValidationError("collision scenario needs a 'particle' section")
-            if self.particle.mass <= 0.0:
+            if p.mass <= 0.0:
                 raise ValidationError("all masses must be positive")
         else:
             m = self.measurement
@@ -364,7 +273,7 @@ class ScenarioConfig:
                 )
             if len(self.center_of_mass.masses) != 1:
                 raise ValidationError("position_measurement needs exactly one mass")
-            if m.absorbed.mass <= 0.0 or m.free.mass <= 0.0:
+            if m.a.mass <= 0.0 or m.b.mass <= 0.0:
                 raise ValidationError("all masses must be positive")
             total = float(np.sum(np.abs(m.coefficients) ** 2))
             if abs(total - 1.0) > COEFF_NORM_TOL:
@@ -374,91 +283,132 @@ class ScenarioConfig:
                 )
             if m.coefficients.shape != (2,):
                 raise ValidationError("measurement needs exactly two coefficients")
+        self._check_discretization()
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "scenario": self.scenario,
-            "hbar": self.hbar,
-            "mass_unit": self.mass_unit,
-            "dt": self.dt,
-            "checkpoint_every": self.checkpoint_every,
-            "schedule": {
-                "t_initial": self.schedule.t_initial,
-                "t_interaction": self.schedule.t_interaction,
-                "t_final": self.schedule.t_final,
-            },
-            "center_of_mass": {
-                "masses": list(self.center_of_mass.masses),
-                "sigma_ref": self.center_of_mass.sigma_ref,
-                "points": self.center_of_mass.points,
-                "half_width_sigmas": self.center_of_mass.half_width_sigmas,
-                "residual_points": self.center_of_mass.residual_points,
-                "residual_half_width": self.center_of_mass.residual_half_width,
-            },
-            "internal": {
-                "dim": self.internal.dim,
-                "state": _encode_complex(self.internal.state),
-                "hamiltonian": _encode_complex(self.internal.hamiltonian),
-            },
-            "coupling": {
-                "strength": self.coupling.strength,
-                "width": self.coupling.width,
-                "matrix": _encode_complex(self.coupling.matrix),
-            },
-            "partition": {
-                "near_lo": self.partition.near_lo,
-                "near_hi": self.partition.near_hi,
-                "eps": self.partition.eps,
-            },
-            "seeds": {"branch": self.seeds.branch, "trials": self.seeds.trials},
-        }
-        if self.particle is not None:
-            out["particle"] = {
-                "grid": {
-                    "points": self.particle.grid.points,
-                    "x_min": self.particle.grid.x_min,
-                    "x_max": self.particle.grid.x_max,
-                },
-                "mass": self.particle.mass,
-                "packet": {
-                    "r0": self.particle.packet.r0,
-                    "p0": self.particle.packet.p0,
-                    "sigma": self.particle.packet.sigma,
-                },
-            }
-        if self.measurement is not None:
+    def _check_discretization(self) -> None:
+        """Build every grid and initial packet, and test dt against each mass
+        point's fastest kinetic phase, so that a run fails on them before it
+        propagates anything."""
+        cm = self.center_of_mass
+        with _at("center_of_mass residual window"):
+            Grid(cm.residual_points, -cm.residual_half_width, cm.residual_half_width)
+        if self.scenario == "collision":
+            p = self.particle
+            subjects = [(LABEL_S, "particle", p, {"particle.packet": p.packet})]
+        else:
             m = self.measurement
-            out["measurement"] = {
-                "coefficients": _encode_complex(m.coefficients),
-                "a": {
-                    "grid": {
-                        "points": m.absorbed.grid.points,
-                        "x_min": m.absorbed.grid.x_min,
-                        "x_max": m.absorbed.grid.x_max,
-                    },
-                    "mass": m.absorbed.mass,
-                    "packets": [
-                        {"r0": p.r0, "p0": p.p0, "sigma": p.sigma} for p in m.absorbed.packets
-                    ],
-                    "trap": {
-                        "depth": m.absorbed.trap.depth,
-                        "width": m.absorbed.trap.width,
-                        "centers": list(m.absorbed.trap.centers),
-                    },
-                },
-                "b": {
-                    "grid": {
-                        "points": m.free.grid.points,
-                        "x_min": m.free.grid.x_min,
-                        "x_max": m.free.grid.x_max,
-                    },
-                    "mass": m.free.mass,
-                    "packets": [
-                        {"r0": p.r0, "p0": p.p0, "sigma": p.sigma} for p in m.free.packets
-                    ],
-                },
-            }
-        return out
+            subjects = [
+                (label, f"measurement.{label}", spec, {
+                    f"measurement.{label}.packets[{i}]": q
+                    for i, q in enumerate(spec.packets)
+                })
+                for label, spec in ((LABEL_A, m.a), (LABEL_B, m.b))
+            ]
+        factors = []
+        kinetic = {}
+        # Subject packets come first: GaussianParams rejects hbar <= 0 and
+        # mass_unit <= 0 before _cm_setup divides by them.
+        for label, path, spec, packets in subjects:
+            with _at(f"{path}.grid"):
+                grid = spec.grid.to_grid()
+            for where, packet in packets.items():
+                with _at(where):
+                    make_gaussian(
+                        grid, packet.params(spec.mass, self.hbar, self.mass_unit), label
+                    )
+            factors.append(Factor.coordinate(label, grid))
+            kinetic[label] = spec.mass
+        for mass in cm.masses:
+            with _at(f"center_of_mass (mass {mass:g})"):
+                grid_cm, params = _cm_setup(self, mass)
+                make_gaussian(grid_cm, params, LABEL_CM)
+            h = HamiltonianSpec(kinetic={LABEL_CM: mass, **kinetic}, hbar=self.hbar)
+            with _at(f"dt (mass {mass:g})"):
+                check_time_step(Space((Factor.coordinate(LABEL_CM, grid_cm), *factors)),
+                                h, self.dt)
+
+
+@contextmanager
+def _at(path: str):
+    """Prefix a ValidationError raised in the block with the config path."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _decode(tp, raw: Any, path: str):
+    """Decode the JSON value `raw` as type `tp`, naming `path` in errors.
+
+    Dataclasses are objects keyed by field name (fields with a default may
+    be absent), `X | None` is an optional section, tuples are lists of their
+    length, np.ndarray is a {"real", "imag"} pair, and numbers are finite
+    and never bools; an int must be integral (500.0 is 500).
+    """
+    if is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path or 'config'} must be an object")
+        hints = get_type_hints(tp)
+        kwargs = {}
+        for f in fields(tp):
+            key = f"{path}.{f.name}" if path else f.name
+            if f.name in raw:
+                kwargs[f.name] = _decode(hints[f.name], raw[f.name], key)
+            elif f.default is MISSING:
+                raise ValidationError(f"config is missing {key!r}")
+        return tp(**kwargs)
+    args = get_args(tp)
+    if type(None) in args:
+        return None if raw is None else _decode(args[0], raw, path)
+    if get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ValidationError(f"{path} must be a list")
+        types = args[:1] * len(raw) if args[-1] is Ellipsis else args
+        if len(types) != len(raw):
+            raise ValidationError(f"{path} must be a list of {len(types)}")
+        return tuple(_decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, raw)))
+    if tp is np.ndarray:
+        if not isinstance(raw, dict) or "real" not in raw:
+            raise ValidationError(f"{path} must be an object with 'real' (and optional 'imag')")
+        real = _decode_real_array(raw["real"], f"{path}.real")
+        imag = (_decode_real_array(raw["imag"], f"{path}.imag") if "imag" in raw
+                else np.zeros_like(real))
+        if real.shape != imag.shape:
+            raise ValidationError(f"{path}: real and imag parts differ in shape")
+        return real + 1j * imag
+    if tp is str:
+        if not isinstance(raw, str):
+            raise ValidationError(f"{path} must be a string, got {raw!r}")
+        return raw
+    # abs(raw) <= max is False for nan and inf, and exact for big ints.
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or not abs(raw) <= sys.float_info.max
+            or tp is int and isinstance(raw, float) and not raw.is_integer()):
+        kind = "an integer" if tp is int else "a finite number"
+        raise ValidationError(f"{path} must be {kind}, got {raw!r}")
+    return tp(raw)
+
+
+def _decode_real_array(raw: Any, path: str) -> np.ndarray:
+    """A number or a rectangular nested list of numbers, as a float array."""
+    cells = np.array(raw, dtype=object)
+    for cell in cells.flat:  # a ragged row shows up here as a list
+        _decode(float, cell, path)
+    return cells.astype(float)
+
+
+def _encode(value):
+    """Inverse of _decode; sections that are None are left out."""
+    if is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name))
+            for f in fields(value) if getattr(value, f.name) is not None
+        }
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return {"real": value.real.tolist(), "imag": value.imag.tolist()}
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -927,16 +877,16 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     m = cfg.measurement
     mass = cfg.center_of_mass.masses[0]
     grid_cm, cm_params = _cm_setup(cfg, mass)
-    grid_a = m.absorbed.grid.to_grid()
-    grid_b = m.free.grid.to_grid()
+    grid_a = m.a.grid.to_grid()
+    grid_b = m.b.grid.to_grid()
 
     a_states = [
-        make_gaussian(grid_a, p.params(m.absorbed.mass, cfg.hbar, cfg.mass_unit), LABEL_A)
-        for p in m.absorbed.packets
+        make_gaussian(grid_a, p.params(m.a.mass, cfg.hbar, cfg.mass_unit), LABEL_A)
+        for p in m.a.packets
     ]
     b_states = [
-        make_gaussian(grid_b, p.params(m.free.mass, cfg.hbar, cfg.mass_unit), LABEL_B)
-        for p in m.free.packets
+        make_gaussian(grid_b, p.params(m.b.mass, cfg.hbar, cfg.mass_unit), LABEL_B)
+        for p in m.b.packets
     ]
     a_overlap = abs(inner_product(a_states[0], a_states[1]))
     b_overlap = abs(inner_product(b_states[0], b_states[1]))
@@ -957,9 +907,9 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     phi_int = level_state(LABEL_INT, cfg.internal.state)
     psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, LABEL_CM)
 
-    trap = m.absorbed.trap
+    trap = m.a.trap
     h = HamiltonianSpec(
-        kinetic={LABEL_CM: mass, LABEL_A: m.absorbed.mass, LABEL_B: m.free.mass},
+        kinetic={LABEL_CM: mass, LABEL_A: m.a.mass, LABEL_B: m.b.mass},
         potentials={LABEL_A: trap.potential},
         internal=(LABEL_INT, cfg.internal.hamiltonian),
         interaction=_coupling(cfg, LABEL_A),
@@ -985,7 +935,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     expected = sorted((abs(c) for c in coeffs), reverse=True)
 
     # Freely evolved b components identify which branch realizes which outcome.
-    h_b = HamiltonianSpec(kinetic={LABEL_B: m.free.mass}, hbar=cfg.hbar)
+    h_b = HamiltonianSpec(kinetic={LABEL_B: m.b.mass}, hbar=cfg.hbar)
     b_evolved = [
         evolve_exact(b, h_b, cfg.dt, steps, max(steps, 1)).final for b in b_states
     ]
@@ -999,7 +949,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
 
     # Independently evolved absorbed compounds, for the orthogonality report.
     h_compound = HamiltonianSpec(
-        kinetic={LABEL_CM: mass, LABEL_A: m.absorbed.mass},
+        kinetic={LABEL_CM: mass, LABEL_A: m.a.mass},
         potentials={LABEL_A: trap.potential},
         internal=(LABEL_INT, cfg.internal.hamiltonian),
         interaction=_coupling(cfg, LABEL_A),

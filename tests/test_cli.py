@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,55 @@ def test_run_set_overrides_and_seed(measurement_config_file, tmp_path):
 def test_run_rejects_unknown_override(measurement_config_file, tmp_path):
     code = cmd_run(str(measurement_config_file), str(tmp_path / "out"), ["no.such.key=1"])
     assert code == EXIT_VALIDATION
+
+
+# Each bad override must be rejected before anything propagates.
+BAD_OVERRIDES = [
+    ('dt="abc"', EXIT_VALIDATION),
+    ("dt=NaN", EXIT_VALIDATION),
+    ("dt=Infinity", EXIT_VALIDATION),
+    ("dt=0.03", EXIT_VALIDATION),  # above the anti-aliasing bound of about 0.0196
+    ('seeds.trials="x"', EXIT_VALIDATION),
+    ("seeds.trials=1.5", EXIT_VALIDATION),
+    ("seeds.branch=-1", EXIT_VALIDATION),
+    ("internal.dim=2.7", EXIT_VALIDATION),
+    ("center_of_mass.points=100", EXIT_VALIDATION),
+    ("particle.grid.points=8", EXIT_VALIDATION),
+    ("particle.packet.sigma=0", EXIT_VALIDATION),
+    ("checkpoint_every=0", EXIT_VALIDATION),
+    ('hbar="1"', EXIT_VALIDATION),
+    ("hbar=0", EXIT_VALIDATION),
+    ("no.such.key=1", EXIT_VALIDATION),
+    ("dt", EXIT_VALIDATION),
+]
+
+
+@pytest.fixture()
+def no_propagation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve_exact was called")
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", refuse)
+
+
+@pytest.mark.parametrize("override, expected", BAD_OVERRIDES)
+def test_bad_override_exit_code(
+    collision_config_file, tmp_path, capsys, no_propagation, override, expected
+):
+    argv = ["run", str(collision_config_file), "--out", str(tmp_path / "out"),
+            "--set", override]
+    assert main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_rejects_bad_value_before_launching(
+    collision_config_file, tmp_path, capsys, no_propagation
+):
+    argv = ["sweep", str(collision_config_file), "--param", "center_of_mass.points",
+            "--values", "128,100", "--out", str(tmp_path / "s")]
+    assert main(argv) == EXIT_VALIDATION
+    assert "power of two" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_run_reports_simulation_errors(collision_config_file, tmp_path, capsys):
@@ -175,6 +226,16 @@ def test_sweep_with_worker_pool(measurement_config_file, tmp_path, monkeypatch):
     rec1 = json.loads((out / "run-001" / "report.jsonl").read_text().splitlines()[0])
     assert rec0["trials"] == 400
     assert rec1["trials"] == 600
+
+
+def test_python_m_framesim_version():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "framesim", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("framesim ")
 
 
 def test_main_version_flag(capsys):

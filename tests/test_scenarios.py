@@ -25,8 +25,15 @@ from oracles import binomial_3sigma
 # configuration validation
 # ---------------------------------------------------------------------------
 
-def test_config_round_trips_through_dict():
-    raw = fast_collision_dict()
+@pytest.mark.parametrize(
+    "make_raw",
+    [
+        pytest.param(fast_collision_dict, id="collision"),
+        pytest.param(fast_measurement_dict, id="measurement"),
+    ],
+)
+def test_config_round_trips_through_dict(make_raw):
+    raw = make_raw()
     cfg = ScenarioConfig.from_dict(raw)
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
