@@ -1,6 +1,6 @@
 """Desk-scale simulator for a microscopic system colliding with a heavy
 apparatus: split-step propagation, product-form approximations, Schmidt
-branch ensembles, and density-matrix comparisons."""
+branches, and density-matrix comparisons."""
 
 __version__ = "0.1.0"
 
@@ -36,11 +36,9 @@ from .schmidt import (
     BranchSampler,
     SchmidtResult,
     entanglement_entropy,
-    sample_branch,
     schmidt_decompose,
 )
 from .frames import (
-    BranchEnsemble,
     DensityMatrix,
     ExtractionResult,
     extract_relative_state,

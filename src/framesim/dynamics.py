@@ -239,8 +239,6 @@ class PropagationResult:
     trajectory: list[tuple[float, StateVector]]
     final: StateVector
     norm_drift: float
-    dt: float
-    steps: int
 
 
 @dataclass(eq=False)
@@ -248,7 +246,6 @@ class FactorizedResult:
     """Product-form evolution: free center-of-mass times relative state."""
 
     cm: PropagationResult
-    relative: PropagationResult
     final: StateVector
 
 
@@ -280,7 +277,7 @@ def evolve_exact(
             trajectory.append((n * dt, state))
             norm_drift = max(norm_drift, abs(state.norm - 1.0))
     final = trajectory[-1][1]
-    return PropagationResult(trajectory, final, norm_drift, dt, steps)
+    return PropagationResult(trajectory, final, norm_drift)
 
 
 def evolve_factorized(
@@ -326,7 +323,7 @@ def evolve_factorized(
     )
     cm = evolve_exact(phi_cm, h_cm, dt, steps, checkpoint_every)
     relative = evolve_exact(psi1_0, h_rel, dt, steps, checkpoint_every)
-    return FactorizedResult(cm, relative, tensor_product([cm.final, relative.final]))
+    return FactorizedResult(cm, tensor_product([cm.final, relative.final]))
 
 
 def factorization_residual(

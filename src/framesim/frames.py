@@ -1,4 +1,4 @@
-"""Frame transformations, branch ensembles, and density matrices.
+"""Frame transformations, Schmidt branches, and density matrices.
 
 Two directions are implemented.  Lifting composes the heavy system's
 center-of-mass packet, its internal state, and the light system's state into
@@ -6,14 +6,14 @@ one product on the auxiliary frame's space.  The reverse transformation
 first contracts the freely evolved center-of-mass packet out of the evolved
 composite (a partial projection whose renormalization constant,
 overlap_weight, is close to 1 exactly when the product approximation holds),
-then expands what remains over Schmidt branches.  The full branch ensemble
-carries weights C_j^2; drawing a single branch is the discontinuous,
-generally irreversible reduction of the state.
+then expands what remains over Schmidt branches, which carry weights
+C_j^2; drawing a single branch is the discontinuous, generally irreversible
+reduction of the state.
 
 Density matrices are stored in the discrete convention: amplitudes carry a
 sqrt(dx) quadrature weight per coordinate factor, so the matrix trace is a
 plain sum, eigenvalues are mixing probabilities, and matrices built from
-branch ensembles and from partial traces are directly comparable.
+Schmidt branches and from partial traces are directly comparable.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .hilbert import (
 from .schmidt import (
     Bipartition,
     SchmidtResult,
-    BranchSampler,
+    coefficient_matrix,
     schmidt_decompose,
     DEFAULT_TRUNC_TOL,
 )
@@ -45,23 +45,11 @@ MIN_OVERLAP_WEIGHT = 1e-6
 
 
 @dataclass(eq=False)
-class BranchEnsemble:
-    """Mixed state as (probability, product branch) pairs with provenance."""
-
-    branches: list[tuple[float, StateVector]]
-    provenance: SchmidtResult
-
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for p, _ in self.branches])
-
-
-@dataclass(eq=False)
 class DensityMatrix:
     """Hermitian unit-trace matrix on a chosen set of factors."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
-    basis_note: str
 
     @property
     def dim(self) -> int:
@@ -152,95 +140,47 @@ def extract_relative_state(
 def transform_to_intrinsic(
     psi1: StateVector,
     cut: Bipartition,
-    seed: int | None = None,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
-):
+) -> SchmidtResult:
     """Expand a relative state over Schmidt branches across the given cut.
 
-    With seed=None, returns the full BranchEnsemble: every branch is the
-    normalized product of paired factor states, weighted by its squared
-    coefficient.  With an integer seed, one branch is drawn by its Born
-    weight and (index, branch state) is returned; this single-branch
-    reduction is discontinuous and cannot in general be undone.
+    Branch j is the product of the paired factor states j, weighted by its
+    squared coefficient.  Drawing one branch by its Born weight,
+    BranchSampler(seed).draw(result), is the discontinuous and generally
+    irreversible reduction of the state.
     """
-    result = schmidt_decompose(psi1, cut, trunc_tol=trunc_tol)
+    return schmidt_decompose(psi1, cut, trunc_tol=trunc_tol)
+
+
+def mixed_density_matrix(result: SchmidtResult, keep: Sequence[str]) -> DensityMatrix:
+    """rho = sum_j p_j |u_j><u_j| over the Schmidt states u_j of the kept block.
+
+    keep must be exactly one block of the decomposition's cut.
+    """
+    keep = frozenset(keep)
+    if keep == result.cut.left:
+        states = result.left_states
+    elif keep == result.cut.right:
+        states = result.right_states
+    else:
+        raise ValidationError(
+            f"keep {sorted(keep)} is not a block of the cut "
+            f"{sorted(result.cut.left)} | {sorted(result.cut.right)}"
+        )
     probs = result.probabilities()
-    branches = [
-        (float(probs[j]), tensor_product([result.left_states[j], result.right_states[j]]))
-        for j in range(result.rank)
-    ]
-    ensemble = BranchEnsemble(branches, result)
-    if seed is None:
-        return ensemble
-    index = BranchSampler(seed).draw(result)
-    return index, ensemble.branches[index][1]
-
-
-def _weighted_vector(state: StateVector, keep: Sequence[str]) -> np.ndarray:
-    """Reshape to (keep dim, rest dim) with sqrt-quadrature weights applied."""
-    space = state.space
-    keep_axes = [i for i, f in enumerate(space.factors) if f.label in set(keep)]
-    rest_axes = [i for i in range(len(space.factors)) if i not in keep_axes]
-    amps = np.transpose(state.amplitudes, keep_axes + rest_axes)
-    k_dim = int(np.prod([space.dims[i] for i in keep_axes], initial=1))
-    return amps.reshape(k_dim, -1) * math.sqrt(space.volume_element)
-
-
-def _kept_labels(space: Space, keep: Sequence[str]) -> tuple[str, ...]:
-    keep_set = set(keep)
-    missing = keep_set - set(space.labels)
-    if missing:
-        raise ValidationError(f"kept factors {sorted(missing)} not in {space.labels}")
-    return tuple(lab for lab in space.labels if lab in keep_set)
-
-
-def _basis_note(space: Space, kept: Sequence[str]) -> str:
-    parts = []
-    for lab in kept:
-        f = space.factor(lab)
-        if f.is_coordinate:
-            parts.append(f"{lab}: position grid ({f.dim} pts, sqrt(dx) weighted)")
-        else:
-            parts.append(f"{lab}: level basis ({f.dim})")
-    return "; ".join(parts)
-
-
-def mixed_density_matrix(ensemble: BranchEnsemble, keep: Sequence[str]) -> DensityMatrix:
-    """rho = sum_j p_j |psi_j,keep><psi_j,keep| over the ensemble branches.
-
-    Every branch must factor across (keep | rest); the kept pure component is
-    recovered by a rank-1 factorization of the branch and a residual above
-    1e-10 is an error rather than silently mixing in the remainder.
-    """
-    if not ensemble.branches:
-        raise ValidationError("ensemble has no branches")
-    space = ensemble.branches[0][1].space
-    kept = _kept_labels(space, keep)
-    if len(kept) == len(space.labels):
-        raise ValidationError("keep must be a proper subset of the branch factors")
-    dim = int(np.prod([space.factor(lab).dim for lab in kept]))
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for prob, branch in ensemble.branches:
-        matrix = _weighted_vector(branch, kept)
-        u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-        total = float(np.sum(s**2))
-        if total <= 0.0 or 1.0 - s[0] ** 2 / total > 1e-10:
-            raise ValidationError(
-                f"branch does not factor across kept labels {sorted(keep)}"
-            )
-        vec = u[:, 0] * s[0] / math.sqrt(total)
-        rho += prob * np.outer(vec, vec.conj())
-    return DensityMatrix(kept, rho, _basis_note(space, kept))
+    space = states[0].space
+    vectors = np.stack([u.amplitudes.ravel() for u in states], axis=1)
+    vectors = vectors * math.sqrt(space.volume_element)
+    return DensityMatrix(space.labels, (vectors * probs) @ vectors.conj().T)
 
 
 def reduced_density_matrix(psi: StateVector, keep: Sequence[str]) -> DensityMatrix:
     """Partial trace of |psi><psi| over the complement of the kept factors."""
-    kept = _kept_labels(psi.space, keep)
-    if not kept or len(kept) == len(psi.space.labels):
-        raise ValidationError("keep must be a proper non-empty subset of the factors")
-    matrix = _weighted_vector(psi, kept)
-    rho = matrix @ matrix.conj().T
-    return DensityMatrix(kept, rho, _basis_note(psi.space, kept))
+    keep = set(keep)
+    kept = tuple(lab for lab in psi.space.labels if lab in keep)
+    rest = tuple(lab for lab in psi.space.labels if lab not in keep)
+    matrix = coefficient_matrix(psi, Bipartition(keep, rest))
+    return DensityMatrix(kept, matrix @ matrix.conj().T)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

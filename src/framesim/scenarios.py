@@ -65,7 +65,13 @@ from .hilbert import (
     superpose,
     tensor_product,
 )
-from .schmidt import Bipartition, BranchSampler, schmidt_decompose, coefficient_matrix
+from .schmidt import (
+    Bipartition,
+    BranchSampler,
+    coefficient_matrix,
+    entanglement_entropy,
+    schmidt_decompose,
+)
 
 LABEL_CM = "A_cm"
 LABEL_INT = "A_int"
@@ -275,6 +281,8 @@ class ScenarioConfig:
                 raise ValidationError("position_measurement needs exactly one mass")
             if m.a.mass <= 0.0 or m.b.mass <= 0.0:
                 raise ValidationError("all masses must be positive")
+            if m.a.trap.width <= 0.0:
+                raise ValidationError("measurement.a.trap.width must be positive")
             total = float(np.sum(np.abs(m.coefficients) ** 2))
             if abs(total - 1.0) > COEFF_NORM_TOL:
                 raise ValidationError(
@@ -341,14 +349,16 @@ def _decode(tp, raw: Any, path: str):
     """Decode the JSON value `raw` as type `tp`, naming `path` in errors.
 
     Dataclasses are objects keyed by field name (fields with a default may
-    be absent), `X | None` is an optional section, tuples are lists of their
-    length, np.ndarray is a {"real", "imag"} pair, and numbers are finite
-    and never bools; an int must be integral (500.0 is 500).
+    be absent; a key that names no field is an error), `X | None` is an
+    optional section, tuples are lists of their length, np.ndarray is a
+    {"real", "imag"} pair, and numbers are finite and never bools; an int
+    must be integral (500.0 is 500).
     """
     if is_dataclass(tp):
         if not isinstance(raw, dict):
             raise ValidationError(f"{path or 'config'} must be an object")
         hints = get_type_hints(tp)
+        _reject_unknown(raw, hints, path)
         kwargs = {}
         for f in fields(tp):
             key = f"{path}.{f.name}" if path else f.name
@@ -370,6 +380,7 @@ def _decode(tp, raw: Any, path: str):
     if tp is np.ndarray:
         if not isinstance(raw, dict) or "real" not in raw:
             raise ValidationError(f"{path} must be an object with 'real' (and optional 'imag')")
+        _reject_unknown(raw, ("real", "imag"), path)
         real = _decode_real_array(raw["real"], f"{path}.real")
         imag = (_decode_real_array(raw["imag"], f"{path}.imag") if "imag" in raw
                 else np.zeros_like(real))
@@ -387,6 +398,13 @@ def _decode(tp, raw: Any, path: str):
         kind = "an integer" if tp is int else "a finite number"
         raise ValidationError(f"{path} must be {kind}, got {raw!r}")
     return tp(raw)
+
+
+def _reject_unknown(raw: dict, known, path: str) -> None:
+    for key in raw:
+        if key not in known:
+            where = f"{path}.{key}" if path else key
+            raise ValidationError(f"config has unknown key {where!r}")
 
 
 def _decode_real_array(raw: Any, path: str) -> np.ndarray:
@@ -631,18 +649,15 @@ def _collision_point(cfg: ScenarioConfig, mass: float) -> CollisionPoint:
     residual = _collision_residual(cfg, mass, phi_int, psi_s)
 
     extraction = extract_relative_state(exact.final, fact.cm.final)
-    ensemble = transform_to_intrinsic(
+    branches = transform_to_intrinsic(
         extraction.state, Bipartition([LABEL_S], [LABEL_INT])
     )
-    rho_mixed = mixed_density_matrix(ensemble, [LABEL_S])
+    rho_mixed = mixed_density_matrix(branches, [LABEL_S])
     rho_psi1 = reduced_density_matrix(extraction.state, [LABEL_S])
     identity_distance = trace_distance(rho_mixed, rho_psi1)
     rho_full = reduced_density_matrix(exact.final, [LABEL_S])
     distance = trace_distance(rho_mixed, rho_full)
 
-    probs = ensemble.probabilities()
-    provenance = ensemble.provenance
-    entropy = float(-np.sum(probs * np.log(probs)))
     eigs = rho_mixed.eigenvalues()
 
     return CollisionPoint(
@@ -651,9 +666,9 @@ def _collision_point(cfg: ScenarioConfig, mass: float) -> CollisionPoint:
         fidelity_deficit=float(deficit),
         residual_norm=float(residual),
         overlap_weight=extraction.overlap_weight,
-        branch_probabilities=[float(p) for p in probs],
-        branch_entropy=entropy,
-        degenerate_groups=[list(g) for g in provenance.degenerate_groups],
+        branch_probabilities=[float(p) for p in branches.probabilities()],
+        branch_entropy=entanglement_entropy(branches),
+        degenerate_groups=[list(g) for g in branches.degenerate_groups],
         schmidt_identity_distance=float(identity_distance),
         trace_distance=float(distance),
         rho_eigenvalues=[float(v) for v in eigs],
@@ -710,11 +725,6 @@ class PartitionReport:
 def _inside_mask(grid: Grid, geometry: PartitionGeometry) -> np.ndarray:
     x = grid.positions()
     return (x >= geometry.near_lo) & (x <= geometry.near_hi)
-
-
-def _unnormalized_coefficients(state: StateVector, cut: Bipartition) -> np.ndarray:
-    matrix = coefficient_matrix(state, cut)
-    return np.linalg.svd(matrix, compute_uv=False)
 
 
 def detect_partition(psi1: StateVector, geometry: PartitionGeometry) -> PartitionReport:
@@ -779,9 +789,13 @@ def detect_partition(psi1: StateVector, geometry: PartitionGeometry) -> Partitio
     ok_state = StateVector(space, np.where(ok, psi1.amplitudes, 0.0))
     bad_state = StateVector(space, np.where(ok, 0.0, psi1.amplitudes))
     rest = tuple(lab for lab in space.labels if lab not in free)
-    d_coeffs = _unnormalized_coefficients(ok_state, Bipartition(free, rest))
+    d_coeffs = np.linalg.svd(
+        coefficient_matrix(ok_state, Bipartition(free, rest)), compute_uv=False
+    )
     if levels and float(np.sum(np.abs(bad_state.amplitudes) ** 2)) > 0.0:
-        c_coeffs = _unnormalized_coefficients(bad_state, Bipartition(coords, levels))
+        c_coeffs = np.linalg.svd(
+            coefficient_matrix(bad_state, Bipartition(coords, levels)), compute_uv=False
+        )
     else:
         norm_bad = math.sqrt(
             float(np.sum(np.abs(bad_state.amplitudes) ** 2)) * space.volume_element
@@ -865,8 +879,8 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     system while entangled partner b never couples to anything.
 
     The probe particle b evolves under its kinetic term alone, so the
-    three-period contract holds for it identically; sampling the branch
-    ensemble of the final relative state reproduces the initial entanglement
+    three-period contract holds for it identically; sampling the Schmidt
+    branches of the final relative state reproduces the initial entanglement
     weights as outcome statistics, and each branch leaves b in the
     corresponding freely evolved component.
     """

@@ -55,12 +55,14 @@ class Bipartition:
 
 @dataclass(eq=False)
 class SchmidtResult:
-    """Coefficients with paired orthonormal factor states.
+    """Coefficients with paired orthonormal factor states: the branch ensemble.
 
-    coefficients are descending and >= trunc_tol; the squared coefficients of
-    a normalized input sum to 1 - truncation_residual.  degenerate_groups
-    lists index sets whose coefficients agree within the degeneracy tolerance
-    (only groups of two or more).
+    Branch j is the product left_states[j] x right_states[j] with Born
+    weight probabilities()[j].  coefficients are descending and >= trunc_tol;
+    the squared coefficients of a normalized input sum to
+    1 - truncation_residual.  degenerate_groups lists index sets whose
+    coefficients agree within the degeneracy tolerance (only groups of two
+    or more).
     """
 
     coefficients: np.ndarray
@@ -191,11 +193,6 @@ class BranchSampler:
         cdf = np.cumsum(result.probabilities())
         u = self._rng.random(n)
         return np.minimum(np.searchsorted(cdf, u, side="right"), result.rank - 1)
-
-
-def sample_branch(result: SchmidtResult, rng_seed: int) -> int:
-    """Single Born-rule draw with a fresh sampler seeded by rng_seed."""
-    return BranchSampler(rng_seed).draw(result)
 
 
 def entanglement_entropy(result: SchmidtResult) -> float:

@@ -129,6 +129,47 @@ def test_bad_override_exit_code(
     assert "Traceback" not in capsys.readouterr().err
 
 
+BAD_MEASUREMENT_OVERRIDES = [
+    ("measurement.a.trap.width=0", EXIT_VALIDATION),
+    ("measurement.a.trap.width=-1", EXIT_VALIDATION),
+]
+
+
+@pytest.mark.parametrize("override, expected", BAD_MEASUREMENT_OVERRIDES)
+def test_bad_measurement_override_exit_code(
+    measurement_config_file, tmp_path, capsys, no_propagation, override, expected
+):
+    argv = ["run", str(measurement_config_file), "--out", str(tmp_path / "out"),
+            "--set", override]
+    assert main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# A misspelt key is an error wherever it sits, not a silently kept default.
+UNKNOWN_KEYS = [
+    ("collision", "checkpoint_evry"),
+    ("collision", "particle.packet.r00"),
+    ("collision", "internal.state.imga"),
+    ("measurement", "measurement.a.trap.widht"),
+]
+
+
+@pytest.mark.parametrize("scenario, key", UNKNOWN_KEYS)
+def test_unknown_config_key_exit_code(tmp_path, capsys, no_propagation, scenario, key):
+    raw = fast_collision_dict() if scenario == "collision" else fast_measurement_dict()
+    *parents, last = key.split(".")
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[last] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"unknown key '{key}'" in err
+
+
 def test_sweep_rejects_bad_value_before_launching(
     collision_config_file, tmp_path, capsys, no_propagation
 ):

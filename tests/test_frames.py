@@ -114,28 +114,34 @@ def test_transform_product_gives_single_branch():
     grid = fs.Grid(32, -8.0, 8.0)
     v = make_gaussian(grid, fs.GaussianParams(r0=0.0, p0=0.0, sigma=1.5, mass=1.0), "S")
     psi = tensor_product([u, v])
-    ensemble = fs.transform_to_intrinsic(psi, fs.Bipartition(["S"], ["A_int"]))
-    assert len(ensemble.branches) == 1
-    prob, branch = ensemble.branches[0]
-    assert prob == pytest.approx(1.0, abs=1e-12)
+    result = fs.transform_to_intrinsic(psi, fs.Bipartition(["S"], ["A_int"]))
+    assert result.rank == 1
+    assert result.probabilities()[0] == pytest.approx(1.0, abs=1e-12)
+    branch = tensor_product([result.left_states[0], result.right_states[0]])
     assert abs(branch.norm - 1.0) <= 1e-10
 
 
 def test_transform_bell_gives_two_degenerate_branches():
     space = Space((Factor.level("L", 2), Factor.level("R", 2)))
     bell = StateVector(space, np.eye(2) / math.sqrt(2))
-    ensemble = fs.transform_to_intrinsic(bell, fs.Bipartition(["L"], ["R"]))
-    probs = ensemble.probabilities()
+    result = fs.transform_to_intrinsic(bell, fs.Bipartition(["L"], ["R"]))
+    probs = result.probabilities()
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
-    assert ensemble.provenance.degenerate_groups == [[0, 1]]
+    assert result.degenerate_groups == [[0, 1]]
 
 
 def test_transform_sampled_mode_is_deterministic():
     space = Space((Factor.level("L", 2), Factor.level("R", 2)))
     psi = StateVector(space, np.diag([math.sqrt(0.3), math.sqrt(0.7)]))
     cut = fs.Bipartition(["L"], ["R"])
-    idx1, branch1 = fs.transform_to_intrinsic(psi, cut, seed=7)
-    idx2, branch2 = fs.transform_to_intrinsic(psi, cut, seed=7)
+    draws = []
+    for _ in range(2):
+        result = fs.transform_to_intrinsic(psi, cut)
+        idx = fs.BranchSampler(7).draw(result)
+        draws.append(
+            (idx, tensor_product([result.left_states[idx], result.right_states[idx]]))
+        )
+    (idx1, branch1), (idx2, branch2) = draws
     assert idx1 == idx2
     assert np.allclose(branch1.amplitudes, branch2.amplitudes)
     res = fs.schmidt_decompose(branch1, cut)
@@ -145,30 +151,30 @@ def test_transform_sampled_mode_is_deterministic():
 def test_branch_probabilities_match_reduced_density(mini_collision):
     run = mini_collision.runs[1e3]
     extraction = fs.extract_relative_state(run["exact"].final, run["factorized"].cm.final)
-    ensemble = fs.transform_to_intrinsic(extraction.state, fs.Bipartition(["S"], ["A_int"]))
+    result = fs.transform_to_intrinsic(extraction.state, fs.Bipartition(["S"], ["A_int"]))
     rho = fs.reduced_density_matrix(extraction.state, ["A_int"])
     eigs = np.sort(rho.eigenvalues())[::-1]
-    probs = ensemble.probabilities()
+    probs = result.probabilities()
     assert np.max(np.abs(probs - eigs[: len(probs)])) <= 1e-8
 
 
 def test_ensemble_probabilities_sum_to_one(mini_collision):
     run = mini_collision.runs[1e2]
     extraction = fs.extract_relative_state(run["exact"].final, run["factorized"].cm.final)
-    ensemble = fs.transform_to_intrinsic(extraction.state, fs.Bipartition(["S"], ["A_int"]))
-    assert abs(float(np.sum(ensemble.probabilities())) - 1.0) <= 1e-10
-    for _, branch in ensemble.branches:
-        assert abs(branch.norm - 1.0) <= 1e-10
+    result = fs.transform_to_intrinsic(extraction.state, fs.Bipartition(["S"], ["A_int"]))
+    assert abs(float(np.sum(result.probabilities())) - 1.0) <= 1e-10
+    for left, right in zip(result.left_states, result.right_states):
+        assert abs(tensor_product([left, right]).norm - 1.0) <= 1e-10
 
 
 def test_mixed_density_single_branch_is_pure():
     u = level_state("A_int", [1.0, 1.0j])
     grid = fs.Grid(32, -8.0, 8.0)
     v = make_gaussian(grid, fs.GaussianParams(r0=0.0, p0=0.0, sigma=1.5, mass=1.0), "S")
-    ensemble = fs.transform_to_intrinsic(
+    result = fs.transform_to_intrinsic(
         tensor_product([u, v]), fs.Bipartition(["S"], ["A_int"])
     )
-    rho = fs.mixed_density_matrix(ensemble, ["S"])
+    rho = fs.mixed_density_matrix(result, ["S"])
     assert rho.purity() == pytest.approx(1.0, abs=1e-10)
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
 
@@ -176,36 +182,43 @@ def test_mixed_density_single_branch_is_pure():
 def test_mixed_density_two_orthogonal_branches():
     space = Space((Factor.level("L", 2), Factor.level("R", 2)))
     bell = StateVector(space, np.eye(2) / math.sqrt(2))
-    ensemble = fs.transform_to_intrinsic(bell, fs.Bipartition(["L"], ["R"]))
-    rho = fs.mixed_density_matrix(ensemble, ["L"])
+    result = fs.transform_to_intrinsic(bell, fs.Bipartition(["L"], ["R"]))
+    rho = fs.mixed_density_matrix(result, ["L"])
     assert np.allclose(rho.eigenvalues(), [0.5, 0.5], atol=1e-12)
 
 
 def test_mixed_density_matches_naive_sum():
     rng = np.random.default_rng(17)
-    space = Space((Factor.level("L", 3), Factor.level("R", 2)))
-    states = [random_state(space, 100 + i) for i in range(3)]
-    branches = []
-    rho_ref = np.zeros((3, 3), dtype=complex)
+
+    def orthonormal_columns():
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        return np.linalg.qr(z)[0]
+
+    u, v = orthonormal_columns(), orthonormal_columns()
     probs = np.array([0.5, 0.3, 0.2])
-    for p, psi in zip(probs, states):
-        res = fs.schmidt_decompose(psi, fs.Bipartition(["L"], ["R"]))
-        branch = tensor_product([res.left_states[0], res.right_states[0]])
-        branches.append((p, branch))
-        vec = res.left_states[0].amplitudes.ravel()
-        rho_ref += p * np.outer(vec, vec.conj())
-    ensemble = fs.BranchEnsemble(branches, res)
-    rho = fs.mixed_density_matrix(ensemble, ["L"])
+    space = Space((Factor.level("L", 3), Factor.level("R", 3)))
+    psi = StateVector(space, (u * np.sqrt(probs)) @ v.T)
+    rho_ref = np.zeros((3, 3), dtype=complex)
+    for j, p in enumerate(probs):
+        rho_ref += p * np.outer(u[:, j], u[:, j].conj())
+    result = fs.transform_to_intrinsic(psi, fs.Bipartition(["L"], ["R"]))
+    rho = fs.mixed_density_matrix(result, ["L"])
     assert np.max(np.abs(rho.matrix - rho_ref)) <= 1e-12
 
 
-def test_mixed_density_rejects_entangled_branch():
-    space = Space((Factor.level("L", 2), Factor.level("R", 2)))
-    bell = StateVector(space, np.eye(2) / math.sqrt(2))
-    res = fs.schmidt_decompose(bell, fs.Bipartition(["L"], ["R"]))
-    fake = fs.BranchEnsemble([(1.0, bell)], res)
-    with pytest.raises(ValidationError, match="factor"):
-        fs.mixed_density_matrix(fake, ["L"])
+def test_mixed_density_rejects_keep_outside_cut():
+    grid = fs.Grid(8, -4.0, 4.0)
+    space = Space(
+        (Factor.coordinate("x", grid), Factor.level("q", 2), Factor.level("r", 2))
+    )
+    psi = random_state(space, 57)
+    result = fs.transform_to_intrinsic(psi, fs.Bipartition(["x"], ["q", "r"]))
+    rho = fs.mixed_density_matrix(result, ["r", "q"])
+    assert rho.labels == ("q", "r")
+    assert fs.trace_distance(rho, fs.reduced_density_matrix(psi, ["q", "r"])) <= 1e-10
+    for keep in (["q"], ["x", "q"], ["x", "q", "r"], [], ["z"]):
+        with pytest.raises(ValidationError, match="not a block of the cut"):
+            fs.mixed_density_matrix(result, keep)
 
 
 def test_reduced_density_of_product_is_projector():
@@ -241,8 +254,9 @@ def test_reduced_density_matches_brute_force(keep):
 def test_reduced_density_rejects_full_keep():
     space = Space((Factor.level("L", 2), Factor.level("R", 2)))
     psi = random_state(space, 56)
-    with pytest.raises(ValidationError):
-        fs.reduced_density_matrix(psi, ["L", "R"])
+    for keep in (["L", "R"], ["L", "Z"]):
+        with pytest.raises(ValidationError):
+            fs.reduced_density_matrix(psi, keep)
 
 
 @pytest.mark.parametrize("seed", [201, 202, 203])
@@ -250,8 +264,8 @@ def test_mixed_equals_reduced_for_full_ensemble(seed):
     grid = fs.Grid(16, -4.0, 4.0)
     space = Space((Factor.coordinate("x", grid), Factor.level("q", 3)))
     psi = random_state(space, seed)
-    ensemble = fs.transform_to_intrinsic(psi, fs.Bipartition(["x"], ["q"]))
-    mixed = fs.mixed_density_matrix(ensemble, ["x"])
+    result = fs.transform_to_intrinsic(psi, fs.Bipartition(["x"], ["q"]))
+    mixed = fs.mixed_density_matrix(result, ["x"])
     reduced = fs.reduced_density_matrix(psi, ["x"])
     assert fs.trace_distance(mixed, reduced) <= 1e-10
 
@@ -276,10 +290,10 @@ def test_trace_distance_between_mixed_and_full_reduced_shrinks(mini_collision):
         extraction = fs.extract_relative_state(
             run["exact"].final, run["factorized"].cm.final
         )
-        ensemble = fs.transform_to_intrinsic(
+        result = fs.transform_to_intrinsic(
             extraction.state, fs.Bipartition(["S"], ["A_int"])
         )
-        mixed = fs.mixed_density_matrix(ensemble, ["S"])
+        mixed = fs.mixed_density_matrix(result, ["S"])
         reduced = fs.reduced_density_matrix(run["exact"].final, ["S"])
         distances.append(fs.trace_distance(mixed, reduced))
     assert distances[0] >= distances[1] >= distances[2]

@@ -148,7 +148,7 @@ def test_sampler_single_branch_always_zero():
     u = level_state("L", [1.0, 0.0])
     v = level_state("R", [0.0, 1.0])
     res = fs.schmidt_decompose(tensor_product([u, v]), fs.Bipartition(["L"], ["R"]))
-    assert all(fs.sample_branch(res, seed) == 0 for seed in range(20))
+    assert all(fs.BranchSampler(seed).draw(res) == 0 for seed in range(20))
 
 
 def test_sampler_frequencies_match_born_weights():
