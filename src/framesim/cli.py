@@ -12,7 +12,7 @@ simulation error, 5 verification failure (missing, corrupt, or inconsistent
 reports).
 
 The environment variable FRAMESIM_WORKERS selects the sweep worker-pool
-size; unset or 1 means sequential execution.
+size, a positive integer; unset or 1 means sequential execution.
 """
 
 from __future__ import annotations
@@ -245,6 +245,12 @@ def cmd_sweep(
     if not values:
         print("validation error: sweep needs at least one value", file=sys.stderr)
         return EXIT_VALIDATION
+    setting = os.environ.get("FRAMESIM_WORKERS", "") or "1"
+    workers = int(setting) if setting.isdecimal() else 0
+    if workers < 1:
+        print(f"validation error: FRAMESIM_WORKERS must be a positive integer, "
+              f"got {setting!r}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     jobs = []
     try:
@@ -262,7 +268,6 @@ def cmd_sweep(
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    workers = int(os.environ.get("FRAMESIM_WORKERS", "1") or "1")
     try:
         if workers > 1:
             from multiprocessing import Pool

@@ -7,8 +7,15 @@ The propagator is a second-order Strang splitting,
 with the kinetic term diagonal in the momentum representation of each
 coordinate factor and the position-local part (potentials + coupling +
 internal level Hamiltonian) diagonal or block-diagonal in position.  Each
-half step is exactly unitary, so the norm is preserved to rounding over
+factor is exactly unitary, so the norm is preserved to rounding over
 arbitrarily long runs and evolving with dt -> -dt inverts a step exactly.
+
+Between checkpoints the closing half-potential of one step and the opening
+half-potential of the next are merged into one full-step factor (Feit,
+Fleck & Steiger, J. Comput. Phys. 47 (1982) 412), so `steps` steps apply
+V/2 T V T ... V T and one position-local factor per step.  Each stored
+state gets its own closing V/2: it is a whole Strang step, and the running
+product does not depend on where the checkpoints fall.
 
 The heavy subsystem machinery lives here as well: evolve_factorized
 propagates the center-of-mass packet freely while the relative state moves
@@ -121,9 +128,6 @@ class _SplitStepPlan:
 
     def __init__(self, space: Space, h: HamiltonianSpec, dt: float):
         check_time_step(space, h, dt)
-        self.space = space
-        self.dt = dt
-        self.hbar = h.hbar
         ndim = len(space.dims)
 
         # Kinetic phase, broadcastable over the full amplitude array.
@@ -188,7 +192,8 @@ class _SplitStepPlan:
 
         self.level_axis = None
         if level_label is None:
-            self.half_potential = np.exp(-0.5j * dt * diag / h.hbar)
+            half = np.exp(-0.5j * dt * diag / h.hbar)
+            self.half_potential, self.full_potential = half, half**2
         else:
             level = space.factor(level_label)
             if level.is_coordinate:
@@ -211,25 +216,26 @@ class _SplitStepPlan:
             # Drop the (now singleton) level axis from the broadcast shape.
             block = np.squeeze(block, axis=self.level_axis)
             evals, evecs = np.linalg.eigh(block)
-            phases = np.exp(-0.5j * dt * evals / h.hbar)
-            self.half_potential = np.einsum(
-                "...ij,...j,...kj->...ik", evecs, phases, evecs.conj()
+            half = np.exp(-0.5j * dt * evals / h.hbar)
+            self.half_potential, self.full_potential = (
+                np.einsum("...ij,...j,...kj->...ik", evecs, phases, evecs.conj())
+                for phases in (half, half**2)
             )
 
-    def _apply_half_potential(self, amps: np.ndarray) -> np.ndarray:
+    def potential(self, factor: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """Apply a position-local factor (half_potential or full_potential)."""
         if self.level_axis is None:
-            return self.half_potential * amps
+            return factor * amps
         moved = np.moveaxis(amps, self.level_axis, -1)
-        moved = np.einsum("...ij,...j->...i", self.half_potential, moved)
+        moved = np.einsum("...ij,...j->...i", factor, moved)
         return np.moveaxis(moved, -1, self.level_axis)
 
-    def step(self, amps: np.ndarray) -> np.ndarray:
-        amps = self._apply_half_potential(amps)
-        if self.kinetic_phase is not None:
-            amps = np.fft.fftn(amps, axes=self.kinetic_axes)
-            amps = self.kinetic_phase * amps
-            amps = np.fft.ifftn(amps, axes=self.kinetic_axes)
-        return self._apply_half_potential(amps)
+    def kinetic(self, amps: np.ndarray) -> np.ndarray:
+        if self.kinetic_phase is None:
+            return amps
+        amps = np.fft.fftn(amps, axes=self.kinetic_axes)
+        amps *= self.kinetic_phase
+        return np.fft.ifftn(amps, axes=self.kinetic_axes)
 
 
 @dataclass(eq=False)
@@ -259,7 +265,8 @@ def evolve_exact(
     """Split-step propagation of psi0 under h for `steps` steps of size dt.
 
     Checkpoints (including t=0 and the final state) are stored every
-    `checkpoint_every` steps.  Norm drift is the largest deviation of any
+    `checkpoint_every` steps; each is a whole Strang step, closed by its own
+    half-potential.  Norm drift is the largest deviation of any
     checkpoint norm from 1.
     """
     if steps < 0:
@@ -270,10 +277,14 @@ def evolve_exact(
     amps = psi0.amplitudes
     trajectory: list[tuple[float, StateVector]] = [(0.0, psi0)]
     norm_drift = abs(psi0.norm - 1.0)
+    # The first step opens with V/2; every later one opens with V, its own
+    # V/2 merged with the closing V/2 of the step before.
+    opening = plan.half_potential
     for n in range(1, steps + 1):
-        amps = plan.step(amps)
+        amps = plan.kinetic(plan.potential(opening, amps))
+        opening = plan.full_potential
         if n % checkpoint_every == 0 or n == steps:
-            state = StateVector(psi0.space, amps)
+            state = StateVector(psi0.space, plan.potential(plan.half_potential, amps))
             trajectory.append((n * dt, state))
             norm_drift = max(norm_drift, abs(state.norm - 1.0))
     final = trajectory[-1][1]

@@ -595,13 +595,36 @@ def _collision_hamiltonian(cfg: ScenarioConfig, mass: float) -> HamiltonianSpec:
     )
 
 
-def _collision_residual(cfg: ScenarioConfig, mass: float, phi_int, psi_s) -> float:
-    """Residual of the dropped center-of-mass kinetic term at full coupling.
+def _collision_start(
+    cfg: ScenarioConfig, mass: float, phi_int: StateVector, psi_s: StateVector
+) -> tuple[StateVector, HamiltonianSpec]:
+    """Initial state and Hamiltonian at one mass, checked uncoupled at t = 0.
+
+    This takes milliseconds, so run_collision calls it for every mass before
+    anything propagates and again in each point, rather than holding every
+    initial state through the sweep.
+    """
+    grid_cm, cm_params = _cm_setup(cfg, mass)
+    psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, LABEL_CM)
+    h = _collision_hamiltonian(cfg, mass)
+    initial_coupling = abs(interaction_energy(psi0, h))
+    if initial_coupling > INTERACTION_TOL:
+        raise PropagationError(
+            f"interaction is not negligible at the start: |<H_coupling>| = "
+            f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
+        )
+    return psi0, h
+
+
+def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
+    """Residual of the dropped center-of-mass kinetic term, per configured mass.
 
     The relative state is evolved with the anchor coordinate as an explicit
     parameter (uniform weight, no center-of-mass kinetic term) on a window
     wide enough that the collision misses the particle entirely at the window
     edges, keeping the state periodic-smooth for the spectral derivative.
+    That propagation does not depend on the mass, so it runs once per sweep;
+    each mass enters only through P^2 / 2 mass on its final state.
     """
     cm = cfg.center_of_mass
     grid_w = Grid(cm.residual_points, -cm.residual_half_width, cm.residual_half_width)
@@ -614,28 +637,18 @@ def _collision_residual(cfg: ScenarioConfig, mass: float, phi_int, psi_s) -> flo
         hbar=cfg.hbar,
     )
     steps = _steps_for(cfg)
-    par = evolve_exact(psi0, h_par, cfg.dt, steps, checkpoint_every=max(steps, 1))
-    return factorization_residual(par.final, mass, cfg.hbar, LABEL_CM)
+    final = evolve_exact(psi0, h_par, cfg.dt, steps, checkpoint_every=max(steps, 1)).final
+    return [factorization_residual(final, m, cfg.hbar, LABEL_CM) for m in cm.masses]
 
 
-def _collision_point(cfg: ScenarioConfig, mass: float) -> CollisionPoint:
+def _collision_point(
+    cfg: ScenarioConfig, mass: float, phi_int: StateVector, psi_s: StateVector,
+    residual_norm: float,
+) -> CollisionPoint:
+    psi0, h = _collision_start(cfg, mass, phi_int, psi_s)
     grid_cm, cm_params = _cm_setup(cfg, mass)
-    grid_s = cfg.particle.grid.to_grid()
-    psi_s = make_gaussian(
-        grid_s, cfg.particle.packet.params(cfg.particle.mass, cfg.hbar, cfg.mass_unit),
-        LABEL_S,
-    )
-    phi_int = level_state(LABEL_INT, cfg.internal.state)
-    psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, LABEL_CM)
-    h = _collision_hamiltonian(cfg, mass)
     steps = _steps_for(cfg)
 
-    initial_coupling = abs(interaction_energy(psi0, h))
-    if initial_coupling > INTERACTION_TOL:
-        raise PropagationError(
-            f"interaction is not negligible at the start: |<H_coupling>| = "
-            f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
-        )
     exact = evolve_exact(psi0, h, cfg.dt, steps, cfg.checkpoint_every)
     worst_initial, worst_final = _check_three_periods(cfg, exact.trajectory, h)
     energy_drift = _energy_drift(exact.trajectory, h)
@@ -646,7 +659,6 @@ def _collision_point(cfg: ScenarioConfig, mass: float) -> CollisionPoint:
         cfg.checkpoint_every, freeze_at=cm_params.r0,
     )
     deficit = fidelity_deficit(exact.final, fact.final)
-    residual = _collision_residual(cfg, mass, phi_int, psi_s)
 
     extraction = extract_relative_state(exact.final, fact.cm.final)
     branches = transform_to_intrinsic(
@@ -664,7 +676,7 @@ def _collision_point(cfg: ScenarioConfig, mass: float) -> CollisionPoint:
         mass=mass,
         sigma_cm=cm_params.sigma,
         fidelity_deficit=float(deficit),
-        residual_norm=float(residual),
+        residual_norm=residual_norm,
         overlap_weight=extraction.overlap_weight,
         branch_probabilities=[float(p) for p in branches.probabilities()],
         branch_entropy=entanglement_entropy(branches),
@@ -685,7 +697,19 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
     """Collision experiment over the configured mass sweep."""
     if cfg.scenario != "collision":
         raise ValidationError(f"config is for scenario {cfg.scenario!r}, not collision")
-    return CollisionReport([_collision_point(cfg, m) for m in cfg.center_of_mass.masses])
+    psi_s = make_gaussian(
+        cfg.particle.grid.to_grid(),
+        cfg.particle.packet.params(cfg.particle.mass, cfg.hbar, cfg.mass_unit),
+        LABEL_S,
+    )
+    phi_int = level_state(LABEL_INT, cfg.internal.state)
+    masses = cfg.center_of_mass.masses
+    for mass in masses:
+        _collision_start(cfg, mass, phi_int, psi_s)
+    residuals = _collision_residual(cfg, phi_int, psi_s)
+    return CollisionReport([
+        _collision_point(cfg, m, phi_int, psi_s, r) for m, r in zip(masses, residuals)
+    ])
 
 
 # ---------------------------------------------------------------------------

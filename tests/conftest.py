@@ -50,6 +50,16 @@ def fast_measurement_dict() -> dict:
     return raw
 
 
+@pytest.fixture()
+def no_propagation(monkeypatch):
+    """Fail the test if anything reaches a scenario propagation."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve_exact was called")
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", refuse)
+
+
 @pytest.fixture(scope="session")
 def fast_measurement_report():
     from framesim.scenarios import run_position_measurement

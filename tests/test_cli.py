@@ -111,14 +111,6 @@ BAD_OVERRIDES = [
 ]
 
 
-@pytest.fixture()
-def no_propagation(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("evolve_exact was called")
-
-    monkeypatch.setattr("framesim.scenarios.evolve_exact", refuse)
-
-
 @pytest.mark.parametrize("override, expected", BAD_OVERRIDES)
 def test_bad_override_exit_code(
     collision_config_file, tmp_path, capsys, no_propagation, override, expected
@@ -177,6 +169,20 @@ def test_sweep_rejects_bad_value_before_launching(
             "--values", "128,100", "--out", str(tmp_path / "s")]
     assert main(argv) == EXIT_VALIDATION
     assert "power of two" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("setting", ["two", "1.5", "0"])
+def test_sweep_rejects_bad_worker_count(
+    collision_config_file, tmp_path, capsys, monkeypatch, no_propagation, setting
+):
+    monkeypatch.setenv("FRAMESIM_WORKERS", setting)
+    argv = ["sweep", str(collision_config_file), "--param", "dt",
+            "--values", "0.012", "--out", str(tmp_path / "s")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "FRAMESIM_WORKERS" in err
     assert not (tmp_path / "s").exists()
 
 

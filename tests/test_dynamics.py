@@ -107,6 +107,44 @@ def test_energy_is_conserved():
     assert max(drifts) / abs(e0) <= 1e-6
 
 
+def criterion_2_system():
+    """The coupled collision Hamiltonian of acceptance criterion 2, on small grids."""
+    grid_s = fs.Grid(64, -10.0, 10.0)
+    grid_cm = fs.Grid(64, -1.6, 1.6)
+    psi_s = make_gaussian(grid_s, fs.GaussianParams(r0=-2.0, p0=4.0, sigma=1.0, mass=4.0), "S")
+    phi_cm = make_gaussian(grid_cm, fs.GaussianParams(r0=0.0, p0=0.0, sigma=0.2, mass=100.0), "A_cm")
+    psi0 = tensor_product([psi_s, phi_cm, level_state("A_int", [1.0, 0.0])])
+    h = fs.HamiltonianSpec(
+        kinetic={"S": 4.0, "A_cm": 100.0},
+        internal=("A_int", INTERNAL_H),
+        interaction=fs.Interaction(
+            subject="S",
+            anchor="A_cm",
+            profile=fs.gaussian_profile(2.0, 0.5),
+            level="A_int",
+            coupling=COUPLING_K,
+        ),
+    )
+    return psi0, h
+
+
+def test_checkpoints_do_not_change_merged_propagation():
+    psi0, h = criterion_2_system()
+    dt, steps = 1e-3, 300
+    every = fs.evolve_exact(psi0, h, dt, steps, checkpoint_every=1)
+    once = fs.evolve_exact(psi0, h, dt, steps, checkpoint_every=steps)
+    assert fs.fidelity_deficit(every.final, once.final) <= 1e-12
+    assert [t for t, _ in every.trajectory] == [n * dt for n in range(steps + 1)]
+    assert [t for t, _ in once.trajectory] == [0.0, steps * dt]
+    # A stored state is a whole step: restarting from it matches running on.
+    sparse = fs.evolve_exact(psi0, h, dt, steps, checkpoint_every=steps // 3)
+    assert [t for t, _ in sparse.trajectory] == [n * dt for n in (0, 100, 200, 300)]
+    _, mid = sparse.trajectory[2]
+    rest = fs.evolve_exact(mid, h, dt, steps - 200, checkpoint_every=steps)
+    assert fs.fidelity_deficit(rest.final, once.final) <= 1e-12
+    assert fs.fidelity_deficit(mid, every.trajectory[200][1]) <= 1e-12
+
+
 def test_cfl_violation_is_rejected():
     psi, h = small_coupled_system(5)
     with pytest.raises(ValidationError, match="anti-aliasing"):

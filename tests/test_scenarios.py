@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -126,12 +127,49 @@ def test_collision_records_are_serializable(fast_collision_report):
     assert "collision_summary" in text
 
 
-def test_collision_rejects_overlapping_start():
+def test_collision_rejects_overlapping_start(no_propagation):
     raw = fast_collision_dict()
     raw["particle"]["packet"]["r0"] = 0.0
     cfg = ScenarioConfig.from_dict(raw)
     with pytest.raises(PropagationError, match="not negligible at the start"):
         run_collision(cfg)
+
+
+def test_collision_checks_every_start_before_propagating(no_propagation):
+    # At r0 = -8 the narrow packet of mass 1e4 starts uncoupled (|<H_c>| ~ 1e-15),
+    # while the wide packet of mass 1 already overlaps the particle (~ 4e-6).
+    raw = fast_collision_dict()
+    raw["particle"]["packet"]["r0"] = -8.0
+    raw["center_of_mass"]["masses"] = [1e4, 1.0]
+    cfg = ScenarioConfig.from_dict(raw)
+    with pytest.raises(PropagationError, match="not negligible at the start"):
+        run_collision(cfg)
+
+
+def test_collision_propagates_residual_once(monkeypatch):
+    # Every propagation is cut to two steps: enough for the residual window,
+    # whose anchor positions already overlap the particle, to pick up
+    # anchor dependence.
+    calls = Counter()
+    original = fs.dynamics.evolve_exact
+
+    def short(psi0, h, dt, steps, checkpoint_every=100):
+        calls[psi0.space.dims, h.kinetic.get("A_cm")] += 1
+        return original(psi0, h, dt, min(steps, 2), checkpoint_every)
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", short)
+    monkeypatch.setattr("framesim.dynamics.evolve_exact", short)
+    raw = fast_collision_dict()
+    raw["center_of_mass"]["masses"] = [100.0, 1000.0, 10000.0]
+    cfg = ScenarioConfig.from_dict(raw)
+    report = run_collision(cfg)
+    cm = cfg.center_of_mass
+    assert calls[(cm.residual_points, 2, 512), None] == 1
+    for mass in cm.masses:
+        assert calls[(cm.points, 2, 512), mass] == 1
+    scaled = [p.residual_norm * p.mass for p in report.points]
+    assert scaled[0] > 0.0
+    assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
 
 
 def test_collision_requires_collision_config():
