@@ -8,8 +8,8 @@ timings.  Reports contain no timestamps, so identical configs and seeds
 reproduce byte-identical report files; timings live only in the manifest.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error, 4 runtime
-simulation error, 5 verification failure (missing, corrupt, or inconsistent
-reports).
+simulation error (including a numpy LinAlgError or a MemoryError during the
+run), 5 verification failure (missing, corrupt, or inconsistent reports).
 
 The environment variable FRAMESIM_WORKERS selects the sweep worker-pool
 size, a positive integer; unset or 1 means sequential execution.
@@ -24,6 +24,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .errors import FrameSimError, ValidationError
@@ -161,6 +163,16 @@ def _prepare_config(
 # run
 # ---------------------------------------------------------------------------
 
+# A run that fails with one of these ends with exit 4 and one stderr line.
+SIMULATION_ERRORS = (FrameSimError, LinAlgError, MemoryError)
+
+
+def _simulation_error(exc: BaseException) -> int:
+    detail = exc if isinstance(exc, FrameSimError) else f"{type(exc).__name__}: {exc}"
+    print(f"simulation error: {detail}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def _execute(raw: dict, cfg: ScenarioConfig, out_dir: Path) -> dict:
     started = time.perf_counter()
     report = run_scenario(cfg)
@@ -196,9 +208,8 @@ def cmd_run(
         return EXIT_VALIDATION
     try:
         _execute(raw, cfg, Path(out_dir))
-    except FrameSimError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except SIMULATION_ERRORS as exc:
+        return _simulation_error(exc)
     return EXIT_OK
 
 
@@ -276,9 +287,8 @@ def cmd_sweep(
                 manifests = pool.map(_sweep_worker, jobs)
         else:
             manifests = [_sweep_worker(job) for job in jobs]
-    except FrameSimError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except SIMULATION_ERRORS as exc:
+        return _simulation_error(exc)
 
     base = Path(out_dir)
     summary_rows = []

@@ -1,21 +1,27 @@
 """Hamiltonians and unitary propagation on labeled tensor-product spaces.
 
+One private operator holds the grid Hamiltonian H = T + W of a
+HamiltonianSpec on a space: the kinetic term T(k), diagonal in the momentum
+representation of each coordinate factor, and the position-local part
+W(x) = potentials + g(x) K + H_int, kept as its parts and applied along the
+level axis as d^2 multiply-adds on level slabs.  The propagator, <H>,
+<H_coupling> and the center-of-mass residual are all derived from it, so
+the operator that is checked is the one that propagates.
+
 The propagator is a second-order Strang splitting,
 
-    exp(-i V dt / 2 hbar) exp(-i T dt / hbar) exp(-i V dt / 2 hbar),
+    exp(-i W dt / 2 hbar) exp(-i T dt / hbar) exp(-i W dt / 2 hbar).
 
-with the kinetic term diagonal in the momentum representation of each
-coordinate factor and the position-local part (potentials + coupling +
-internal level Hamiltonian) diagonal or block-diagonal in position.  Each
-factor is exactly unitary, so the norm is preserved to rounding over
+Each factor is exactly unitary, so the norm is preserved to rounding over
 arbitrarily long runs and evolving with dt -> -dt inverts a step exactly.
 
 Between checkpoints the closing half-potential of one step and the opening
 half-potential of the next are merged into one full-step factor (Feit,
 Fleck & Steiger, J. Comput. Phys. 47 (1982) 412), so `steps` steps apply
-V/2 T V T ... V T and one position-local factor per step.  Each stored
-state gets its own closing V/2: it is a whole Strang step, and the running
-product does not depend on where the checkpoints fall.
+W/2 T W T ... W T and one position-local factor per step.  Each stored
+state gets its own closing W/2: it is a whole Strang step, and the running
+product does not depend on where the checkpoints fall.  After the loop,
+evolve_exact records <H> and <H_coupling> of every stored checkpoint.
 
 The heavy subsystem machinery lives here as well: evolve_factorized
 propagates the center-of-mass packet freely while the relative state moves
@@ -99,152 +105,183 @@ def _sampled_potential(spec, grid) -> np.ndarray:
     return values
 
 
-def kinetic_ceiling(space: Space, h: HamiltonianSpec) -> float:
-    """Largest eigenvalue of the discrete kinetic operator."""
-    total = 0.0
-    for label, mass in h.kinetic.items():
-        f = space.factor(label)
-        if not f.is_coordinate:
-            raise ValidationError(f"kinetic term on non-coordinate factor {label!r}")
-        k_max = math.pi / f.grid.dx
-        total += (h.hbar * k_max) ** 2 / (2.0 * mass)
-    return total
+def _along(space: Space, label: str, values: np.ndarray) -> np.ndarray:
+    """Values over one factor, shaped to broadcast along its axis."""
+    shape = [1] * len(space.dims)
+    shape[space.axis(label)] = values.size
+    return values.reshape(shape)
 
 
-def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:
-    """Reject a zero step, or one whose fastest kinetic phase aliases."""
-    if dt == 0.0:
-        raise ValidationError("time step must be nonzero")
-    ceiling = kinetic_ceiling(space, h)
-    if abs(dt) * ceiling / h.hbar > math.pi + 1e-12:
-        raise ValidationError(
-            f"time step {dt:g} violates the anti-aliasing bound "
-            f"dt * T_max / hbar <= pi (T_max = {ceiling:g})"
-        )
+def _coordinate(space: Space, label: str, what: str) -> Factor:
+    f = space.factor(label)
+    if not f.is_coordinate:
+        raise ValidationError(f"{what} on non-coordinate factor {label!r}")
+    return f
 
 
-class _SplitStepPlan:
-    """Precomputed phase arrays for one (space, Hamiltonian, dt) combination."""
+class _GridHamiltonian:
+    """H = T + W of one HamiltonianSpec on one space, built once.
 
-    def __init__(self, space: Space, h: HamiltonianSpec, dt: float):
-        check_time_step(space, h, dt)
-        ndim = len(space.dims)
+    T(k) is diagonal in the momentum representation of the kinetic axes and
+    is kept as one term per axis.  W(x) = V(x) + g(x) K + H_int is kept as
+    its parts: the summed potentials and the coupling profile g(x), both
+    broadcast over positions, and the level matrices K and H_int.  The
+    propagator factors, <H>, <H_coupling> and the center-of-mass residual
+    are all derived from these arrays.
+    """
 
-        # Kinetic phase, broadcastable over the full amplitude array.
-        self.kinetic_axes = []
-        exponent = np.zeros((1,) * ndim)
+    def __init__(self, space: Space, h: HamiltonianSpec):
+        self.space = space
+        self.hbar = h.hbar
+        self.kinetic_axes = sorted(space.axis(label) for label in h.kinetic)
+        self.kinetic_terms = []
         for label, mass in h.kinetic.items():
+            grid = _coordinate(space, label, "kinetic term").grid
             if mass <= 0.0:
                 raise ValidationError(f"kinetic mass for {label!r} must be positive")
-            axis = space.axis(label)
-            self.kinetic_axes.append(axis)
-            shape = [1] * ndim
-            shape[axis] = space.dims[axis]
-            k = space.factor(label).grid.wavenumbers().reshape(shape)
-            exponent = exponent + h.hbar * k**2 / (2.0 * mass)
-        self.kinetic_axes.sort()
-        self.kinetic_phase = np.exp(-1j * dt * exponent) if self.kinetic_axes else None
+            k = _along(space, label, grid.wavenumbers())
+            self.kinetic_terms.append((h.hbar * k) ** 2 / (2.0 * mass))
 
-        # Position-local part: scalar diagonal plus an optional level block.
-        diag = np.zeros((1,) * ndim)
+        self.potential = np.zeros((1,) * len(space.dims))
         for label, spec in h.potentials.items():
-            f = space.factor(label)
-            if not f.is_coordinate:
-                raise ValidationError(f"potential on non-coordinate factor {label!r}")
-            shape = [1] * ndim
-            shape[space.axis(label)] = f.dim
-            diag = diag + _sampled_potential(spec, f.grid).reshape(shape)
+            values = _sampled_potential(spec, _coordinate(space, label, "potential").grid)
+            self.potential = self.potential + _along(space, label, values)
 
-        coupling_diag = None
-        level_label = None
-        coupling_matrix = None
-        internal_matrix = None
-        if h.interaction is not None:
-            ia = h.interaction
-            subject = space.factor(ia.subject)
-            if not subject.is_coordinate:
-                raise ValidationError("interaction subject must be a coordinate factor")
-            xs = subject.grid.positions()
-            shape = [1] * ndim
-            shape[space.axis(ia.subject)] = subject.dim
+        self.profile = self.coupling = self.internal = self.level_axis = None
+        ia = h.interaction
+        if ia is not None:
+            subject = _coordinate(space, ia.subject, "interaction subject").grid
+            delta = _along(space, ia.subject, subject.positions())
             if ia.anchor is None:
-                delta = (xs - ia.anchor_position).reshape(shape)
+                delta = delta - ia.anchor_position
             else:
-                anchor = space.factor(ia.anchor)
-                if not anchor.is_coordinate:
-                    raise ValidationError(
-                        "interaction anchor must be a coordinate factor"
-                    )
-                a_shape = [1] * ndim
-                a_shape[space.axis(ia.anchor)] = anchor.dim
-                delta = xs.reshape(shape) - anchor.grid.positions().reshape(a_shape)
-            coupling_diag = np.asarray(ia.profile(delta), dtype=float)
-            level_label = ia.level
-            coupling_matrix = _check_hermitian(ia.coupling, "interaction coupling")
+                anchor = _coordinate(space, ia.anchor, "interaction anchor").grid
+                delta = delta - _along(space, ia.anchor, anchor.positions())
+            self.profile = np.asarray(ia.profile(delta), dtype=float)
+            self.coupling = _check_hermitian(ia.coupling, "interaction coupling")
         if h.internal is not None:
-            lab, matrix = h.internal
-            if level_label is not None and lab != level_label:
+            if ia is not None and h.internal[0] != ia.level:
                 raise ValidationError(
                     "internal Hamiltonian and interaction act on different level factors"
                 )
-            level_label = lab
-            internal_matrix = _check_hermitian(matrix, "internal Hamiltonian")
-
-        self.level_axis = None
-        if level_label is None:
-            half = np.exp(-0.5j * dt * diag / h.hbar)
-            self.half_potential, self.full_potential = half, half**2
-        else:
+            self.internal = _check_hermitian(h.internal[1], "internal Hamiltonian")
+        level_label = ia.level if ia is not None else h.internal[0] if h.internal else None
+        if level_label is not None:
             level = space.factor(level_label)
             if level.is_coordinate:
                 raise ValidationError(f"factor {level_label!r} is not a level factor")
-            if level.dim != (
-                coupling_matrix if coupling_matrix is not None else internal_matrix
-            ).shape[0]:
+            if any(m is not None and m.shape[0] != level.dim
+                   for m in (self.coupling, self.internal)):
                 raise ValidationError(
                     f"level matrices do not match the dimension of {level_label!r}"
                 )
             self.level_axis = space.axis(level_label)
-            d = level.dim
-            eye = np.eye(d)
-            # Block W(x) over broadcast coordinate shape, level indices last.
-            block = diag[..., None, None] * eye
-            if coupling_diag is not None:
-                block = block + coupling_diag[..., None, None] * coupling_matrix
-            if internal_matrix is not None:
-                block = block + internal_matrix
-            # Drop the (now singleton) level axis from the broadcast shape.
-            block = np.squeeze(block, axis=self.level_axis)
-            evals, evecs = np.linalg.eigh(block)
-            half = np.exp(-0.5j * dt * evals / h.hbar)
-            self.half_potential, self.full_potential = (
-                np.einsum("...ij,...j,...kj->...ik", evecs, phases, evecs.conj())
-                for phases in (half, half**2)
+
+    def kinetic(self) -> np.ndarray:
+        """T(k) over the kinetic axes, summed from its per-axis terms on each
+        use, so that no full-size copy stays alive while a run propagates."""
+        return sum(self.kinetic_terms, np.zeros((1,) * len(self.space.dims)))
+
+    def check_time_step(self, dt: float) -> None:
+        if dt == 0.0:
+            raise ValidationError("time step must be nonzero")
+        ceiling = sum(float(t.max()) for t in self.kinetic_terms)
+        if abs(dt) * ceiling / self.hbar > math.pi + 1e-12:
+            raise ValidationError(
+                f"time step {dt:g} violates the anti-aliasing bound "
+                f"dt * T_max / hbar <= pi (T_max = {ceiling:g})"
             )
 
-    def potential(self, factor: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """Apply a position-local factor (half_potential or full_potential)."""
-        if self.level_axis is None:
-            return factor * amps
-        moved = np.moveaxis(amps, self.level_axis, -1)
-        moved = np.einsum("...ij,...j->...i", factor, moved)
-        return np.moveaxis(moved, -1, self.level_axis)
+    def propagators(self, dt: float):
+        """exp(-i T dt / hbar) (None without kinetic terms), then the
+        position-local factors exp(-i W dt / 2 hbar) and exp(-i W dt / hbar).
 
-    def kinetic(self, amps: np.ndarray) -> np.ndarray:
-        if self.kinetic_phase is None:
-            return amps
-        amps = np.fft.fftn(amps, axes=self.kinetic_axes)
-        amps *= self.kinetic_phase
-        return np.fft.ifftn(amps, axes=self.kinetic_axes)
+        With a level factor, W is assembled per position only to feed eigh,
+        and each factor is returned level indices first, every entry a
+        contiguous array over positions, for `levels`.
+        """
+        self.check_time_step(dt)
+        phase = None
+        if self.kinetic_axes:
+            phase = np.exp(-1j * dt * (self.kinetic() / self.hbar))
+        if self.level_axis is None:
+            half = np.exp(-0.5j * dt * self.potential / self.hbar)
+            return phase, half, half**2
+        block = self.potential[..., None, None] * np.eye(self.space.dims[self.level_axis])
+        if self.profile is not None:
+            block = block + self.profile[..., None, None] * self.coupling
+        if self.internal is not None:
+            block = block + self.internal
+        evals, evecs = np.linalg.eigh(np.squeeze(block, axis=self.level_axis))
+        del block
+        half = np.exp(-0.5j * dt * evals / self.hbar)
+        return phase, *(
+            np.einsum("...ij,...j,...kj->ik...", evecs, p, evecs.conj(), order="C")
+            for p in (half, half**2)
+        )
+
+    def levels(self, matrix, amps: np.ndarray) -> np.ndarray:
+        """sum_j matrix[i, j] amps[..., j, ...] along the level axis.
+
+        Entries are numbers (K, H_int) or arrays over positions that broadcast
+        against one level slab (the Strang factors): d^2 multiply-adds on
+        slabs, not a matrix product per position.
+        """
+        head = (slice(None),) * self.level_axis
+        d = amps.shape[self.level_axis]
+        out = np.empty_like(amps)
+        for i in range(d):
+            row = out[head + (i, ...)]
+            np.multiply(matrix[i, 0], amps[head + (0, ...)], out=row)
+            for j in range(1, d):
+                row += matrix[i, j] * amps[head + (j, ...)]
+        return out
+
+    def local(self, factor, amps: np.ndarray) -> np.ndarray:
+        """Apply a position-local factor from `propagators`."""
+        return factor * amps if self.level_axis is None else self.levels(factor, amps)
+
+    def spectral(self, multiplier: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """Multiply by a function of k (T or its phase) over the kinetic axes."""
+        out = np.fft.fftn(amps, axes=self.kinetic_axes)
+        out *= multiplier
+        return np.fft.ifftn(out, axes=self.kinetic_axes)
+
+    def coupling_energy(self, amps: np.ndarray) -> float:
+        """<g(x) K>, or 0.0 without a coupling."""
+        if self.profile is None:
+            return 0.0
+        k_psi = self.levels(self.coupling, amps)
+        k_psi *= self.profile
+        return float(np.vdot(amps, k_psi).real) * self.space.volume_element
+
+    def uncoupled_energy(self, amps: np.ndarray) -> float:
+        """<T + V + H_int>, with <T> = sum_k T(k) |psi(k)|^2 / N from one FFT."""
+        total = np.sum(self.potential * np.abs(amps) ** 2)
+        if self.internal is not None:
+            total += np.vdot(amps, self.levels(self.internal, amps)).real
+        if self.kinetic_axes:
+            psi_k = np.fft.fftn(amps, axes=self.kinetic_axes)
+            n = math.prod(self.space.dims[axis] for axis in self.kinetic_axes)
+            total += np.sum(self.kinetic() * np.abs(psi_k) ** 2) / n
+        return float(total * self.space.volume_element)
+
+
+def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:
+    """Reject a zero step, or one whose fastest kinetic phase aliases."""
+    _GridHamiltonian(space, h).check_time_step(dt)
 
 
 @dataclass(eq=False)
 class PropagationResult:
-    """Checkpointed trajectory of one propagation run."""
+    """Checkpointed trajectory of one propagation run, with <H> and
+    <H_coupling> of each stored checkpoint (aligned with `trajectory`)."""
 
     trajectory: list[tuple[float, StateVector]]
     final: StateVector
     norm_drift: float
+    energies: list[float]
+    couplings: list[float]
 
 
 @dataclass(eq=False)
@@ -267,28 +304,35 @@ def evolve_exact(
     Checkpoints (including t=0 and the final state) are stored every
     `checkpoint_every` steps; each is a whole Strang step, closed by its own
     half-potential.  Norm drift is the largest deviation of any
-    checkpoint norm from 1.
+    checkpoint norm from 1.  <H> and <H_coupling> are taken from the same
+    operator that propagates, after the loop has released its arrays.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
     if checkpoint_every < 1:
         raise ValidationError("checkpoint_every must be >= 1")
-    plan = _SplitStepPlan(psi0.space, h, dt)
+    op = _GridHamiltonian(psi0.space, h)
+    phase, half, full = op.propagators(dt)
     amps = psi0.amplitudes
     trajectory: list[tuple[float, StateVector]] = [(0.0, psi0)]
     norm_drift = abs(psi0.norm - 1.0)
-    # The first step opens with V/2; every later one opens with V, its own
-    # V/2 merged with the closing V/2 of the step before.
-    opening = plan.half_potential
+    # The first step opens with W/2; every later one opens with W, its own
+    # W/2 merged with the closing W/2 of the step before.
+    opening = half
     for n in range(1, steps + 1):
-        amps = plan.kinetic(plan.potential(opening, amps))
-        opening = plan.full_potential
+        amps = op.local(opening, amps)
+        if phase is not None:
+            amps = op.spectral(phase, amps)
+        opening = full
         if n % checkpoint_every == 0 or n == steps:
-            state = StateVector(psi0.space, plan.potential(plan.half_potential, amps))
+            state = StateVector(psi0.space, op.local(half, amps))
             trajectory.append((n * dt, state))
             norm_drift = max(norm_drift, abs(state.norm - 1.0))
-    final = trajectory[-1][1]
-    return PropagationResult(trajectory, final, norm_drift)
+    del amps, opening, half, full, phase
+    couplings = [op.coupling_energy(s.amplitudes) for _, s in trajectory]
+    energies = [op.uncoupled_energy(s.amplitudes) + c
+                for (_, s), c in zip(trajectory, couplings)]
+    return PropagationResult(trajectory, trajectory[-1][1], norm_drift, energies, couplings)
 
 
 def evolve_factorized(
@@ -350,16 +394,9 @@ def factorization_residual(
         raise ValidationError(
             f"missing center-of-mass factor {cm_label!r} in {psi1.space.labels}"
         )
-    f = psi1.space.factor(cm_label)
-    if not f.is_coordinate:
-        raise ValidationError(f"factor {cm_label!r} is not a coordinate factor")
-    axis = psi1.space.axis(cm_label)
-    shape = [1] * len(psi1.space.dims)
-    shape[axis] = f.dim
-    t_k = (hbar * f.grid.wavenumbers().reshape(shape)) ** 2 / (2.0 * mass)
-    amps = np.fft.ifft(t_k * np.fft.fft(psi1.amplitudes, axis=axis), axis=axis)
-    total = np.sum(np.abs(amps) ** 2) * psi1.space.volume_element
-    return float(math.sqrt(total))
+    op = _GridHamiltonian(psi1.space, HamiltonianSpec(kinetic={cm_label: mass}, hbar=hbar))
+    amps = op.spectral(op.kinetic(), psi1.amplitudes)
+    return float(math.sqrt(np.sum(np.abs(amps) ** 2) * psi1.space.volume_element))
 
 
 def fidelity_deficit(a: StateVector, b: StateVector) -> float:
@@ -367,70 +404,15 @@ def fidelity_deficit(a: StateVector, b: StateVector) -> float:
     return 1.0 - abs(inner_product(a, b))
 
 
-def apply_hamiltonian(state: StateVector, h: HamiltonianSpec) -> StateVector:
-    """H |psi> evaluated term by term (unnormalized result)."""
-    space = state.space
-    ndim = len(space.dims)
-    out = np.zeros(space.dims, dtype=np.complex128)
-    for label, mass in h.kinetic.items():
-        axis = space.axis(label)
-        shape = [1] * ndim
-        shape[axis] = space.dims[axis]
-        t_k = (h.hbar * space.factor(label).grid.wavenumbers().reshape(shape)) ** 2
-        t_k = t_k / (2.0 * mass)
-        out += np.fft.ifft(t_k * np.fft.fft(state.amplitudes, axis=axis), axis=axis)
-    for label, spec in h.potentials.items():
-        f = space.factor(label)
-        shape = [1] * ndim
-        shape[space.axis(label)] = f.dim
-        out += _sampled_potential(spec, f.grid).reshape(shape) * state.amplitudes
-    if h.interaction is not None:
-        out += interaction_term(state, h).amplitudes
-    if h.internal is not None:
-        lab, matrix = h.internal
-        axis = space.axis(lab)
-        moved = np.moveaxis(state.amplitudes, axis, -1)
-        moved = np.einsum("ij,...j->...i", _check_hermitian(matrix, "internal"), moved)
-        out += np.moveaxis(moved, -1, axis)
-    return StateVector(space, out)
-
-
-def interaction_term(state: StateVector, h: HamiltonianSpec) -> StateVector:
-    """H_coupling |psi> alone (zero state if the Hamiltonian has no coupling)."""
-    space = state.space
-    ndim = len(space.dims)
-    if h.interaction is None:
-        return StateVector(space, np.zeros(space.dims, dtype=np.complex128))
-    ia = h.interaction
-    subject = space.factor(ia.subject)
-    shape = [1] * ndim
-    shape[space.axis(ia.subject)] = subject.dim
-    xs = subject.grid.positions().reshape(shape)
-    if ia.anchor is None:
-        delta = xs - ia.anchor_position
-    else:
-        anchor = space.factor(ia.anchor)
-        a_shape = [1] * ndim
-        a_shape[space.axis(ia.anchor)] = anchor.dim
-        delta = xs - anchor.grid.positions().reshape(a_shape)
-    profile = np.asarray(ia.profile(delta), dtype=float)
-    matrix = _check_hermitian(ia.coupling, "interaction coupling")
-    axis = space.axis(ia.level)
-    # profile carries a singleton along the level axis, so it broadcasts as-is
-    moved = np.moveaxis(profile * state.amplitudes, axis, -1)
-    moved = np.einsum("ij,...j->...i", matrix, moved)
-    return StateVector(space, np.moveaxis(moved, -1, axis))
-
-
 def total_energy(state: StateVector, h: HamiltonianSpec) -> float:
-    return float(inner_product(state, apply_hamiltonian(state, h)).real)
+    """<H> of one state."""
+    op = _GridHamiltonian(state.space, h)
+    return op.uncoupled_energy(state.amplitudes) + op.coupling_energy(state.amplitudes)
 
 
 def interaction_energy(state: StateVector, h: HamiltonianSpec) -> float:
     """Expectation of the coupling term alone."""
-    if h.interaction is None:
-        return 0.0
-    return float(inner_product(state, interaction_term(state, h)).real)
+    return _GridHamiltonian(state.space, h).coupling_energy(state.amplitudes)
 
 
 def gaussian_profile(strength: float, width: float) -> Callable[[np.ndarray], np.ndarray]:

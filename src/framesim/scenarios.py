@@ -41,7 +41,7 @@ from .dynamics import (
     fidelity_deficit,
     gaussian_profile,
     interaction_energy,
-    total_energy,
+    total_energy,  # unused here; perfbench/spans.py wraps it by this name
 )
 from .errors import PropagationError, ValidationError
 from .frames import (
@@ -455,21 +455,26 @@ def _coupling(cfg: ScenarioConfig, subject: str) -> Interaction:
     )
 
 
+def _record(kind: str, report, skip: str | None = None) -> dict:
+    """Report record: the `record` tag and one key per dataclass field."""
+    body = {f.name: getattr(report, f.name) for f in fields(report) if f.name != skip}
+    return {"record": kind, **body}
+
+
 def _uniform_state(grid: Grid, label: str) -> StateVector:
     amps = np.full(grid.n_points, 1.0 / math.sqrt(grid.x_max - grid.x_min))
     return StateVector(Space((Factor.coordinate(label, grid),)), amps)
 
 
-def _check_three_periods(cfg, trajectory, h) -> tuple[float, float]:
+def _check_three_periods(cfg, result) -> tuple[float, float]:
     """Largest |coupling expectation| over initial-period and final-period checkpoints."""
     s = cfg.schedule
-    worst_initial = 0.0
-    worst_final = 0.0
-    for t, state in trajectory:
+    worst_initial = worst_final = 0.0
+    for (t, _), coupling in zip(result.trajectory, result.couplings):
         if t <= s.t_initial + 1e-12:
-            worst_initial = max(worst_initial, abs(interaction_energy(state, h)))
+            worst_initial = max(worst_initial, abs(coupling))
         if t >= s.t_interaction - 1e-12:
-            worst_final = max(worst_final, abs(interaction_energy(state, h)))
+            worst_final = max(worst_final, abs(coupling))
     if worst_initial > INTERACTION_TOL:
         raise PropagationError(
             f"interaction is not negligible at the start: |<H_coupling>| = "
@@ -483,8 +488,7 @@ def _check_three_periods(cfg, trajectory, h) -> tuple[float, float]:
     return worst_initial, worst_final
 
 
-def _energy_drift(trajectory, h) -> float:
-    energies = [total_energy(state, h) for _, state in trajectory]
+def _energy_drift(energies: list[float]) -> float:
     ref = energies[0]
     scale = max(abs(ref), 1e-30)
     return max(abs(e - ref) for e in energies) / scale
@@ -551,28 +555,7 @@ class CollisionReport:
         return all(b <= a for a, b in zip(d, d[1:]))
 
     def to_records(self) -> list[dict]:
-        records = []
-        for p in self.points:
-            records.append({
-                "record": "collision_point",
-                "mass": p.mass,
-                "sigma_cm": p.sigma_cm,
-                "fidelity_deficit": p.fidelity_deficit,
-                "residual_norm": p.residual_norm,
-                "overlap_weight": p.overlap_weight,
-                "branch_probabilities": p.branch_probabilities,
-                "branch_entropy": p.branch_entropy,
-                "degenerate_groups": p.degenerate_groups,
-                "schmidt_identity_distance": p.schmidt_identity_distance,
-                "trace_distance": p.trace_distance,
-                "rho_eigenvalues": p.rho_eigenvalues,
-                "rho_trace": p.rho_trace,
-                "rho_hermiticity_error": p.rho_hermiticity_error,
-                "interaction_initial": p.interaction_initial,
-                "interaction_final": p.interaction_final,
-                "norm_drift": p.norm_drift,
-                "energy_drift": p.energy_drift,
-            })
+        records = [_record("collision_point", p) for p in self.points]
         records.append({
             "record": "collision_summary",
             "masses": self.masses,
@@ -650,8 +633,8 @@ def _collision_point(
     steps = _steps_for(cfg)
 
     exact = evolve_exact(psi0, h, cfg.dt, steps, cfg.checkpoint_every)
-    worst_initial, worst_final = _check_three_periods(cfg, exact.trajectory, h)
-    energy_drift = _energy_drift(exact.trajectory, h)
+    worst_initial, worst_final = _check_three_periods(cfg, exact)
+    energy_drift = _energy_drift(exact.energies)
 
     phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
     fact = evolve_factorized(
@@ -733,17 +716,7 @@ class PartitionReport:
         return self.absorbed is not None
 
     def to_record(self) -> dict:
-        return {
-            "record": "partition",
-            "found": self.found,
-            "absorbed": list(self.absorbed) if self.absorbed else None,
-            "free": list(self.free) if self.free else None,
-            "leakage": self.leakage,
-            "c_coefficients": self.c_coefficients,
-            "d_coefficients": self.d_coefficients,
-            "weight_check": self.weight_check,
-            "candidates": self.candidates,
-        }
+        return {**_record("partition", self), "found": self.found}
 
 
 def _inside_mask(grid: Grid, geometry: PartitionGeometry) -> np.ndarray:
@@ -871,31 +844,7 @@ class MeasurementReport:
     )
 
     def to_records(self) -> list[dict]:
-        rec = {
-            "record": "measurement",
-            "mass": self.mass,
-            "schmidt_coefficients": self.schmidt_coefficients,
-            "expected_coefficients": self.expected_coefficients,
-            "coefficient_error": self.coefficient_error,
-            "compound_overlap": self.compound_overlap,
-            "overlap_weight": self.overlap_weight,
-            "outcome_probabilities": self.outcome_probabilities,
-            "empirical_frequencies": self.empirical_frequencies,
-            "outcome_counts": self.outcome_counts,
-            "trials": self.trials,
-            "branch_b_fidelity_deficits": self.branch_b_fidelity_deficits,
-            "a_component_overlap": self.a_component_overlap,
-            "b_component_overlap": self.b_component_overlap,
-            "absorbed_mass": self.absorbed_mass,
-            "absorption_declared": self.absorption_declared,
-            "free_particle_coupling": self.free_particle_coupling,
-            "norm_drift": self.norm_drift,
-            "energy_drift": self.energy_drift,
-            "interaction_initial": self.interaction_initial,
-            "interaction_final": self.interaction_final,
-            "absorption_model": self.absorption_model,
-        }
-        return [rec, self.partition.to_record()]
+        return [_record("measurement", self, skip="partition"), self.partition.to_record()]
 
 
 def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
@@ -955,12 +904,12 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     )
     steps = _steps_for(cfg)
     exact = evolve_exact(psi0, h, cfg.dt, steps, cfg.checkpoint_every)
-    energy_drift = _energy_drift(exact.trajectory, h)
+    energy_drift = _energy_drift(exact.energies)
     # The coupling to the absorbed compound stays on; the contract concerns
     # the outgoing particle b, which has no coupling terms at all.
     free_particle_coupling = 0.0
-    interaction_initial = abs(interaction_energy(psi0, h))
-    interaction_final = abs(interaction_energy(exact.final, h))
+    interaction_initial = abs(exact.couplings[0])
+    interaction_final = abs(exact.couplings[-1])
 
     h_cm = HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=cfg.hbar)
     phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.linalg import LinAlgError
 
 from framesim.cli import (
     EXIT_OK,
@@ -193,6 +194,32 @@ def test_run_reports_simulation_errors(collision_config_file, tmp_path, capsys):
     )
     assert code == EXIT_RUNTIME
     assert "not negligible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [LinAlgError("Eigenvalues did not converge"), MemoryError()],
+    ids=["LinAlgError", "MemoryError"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_numerical_failures_exit_runtime(
+    collision_config_file, tmp_path, capsys, monkeypatch, command, error
+):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr("framesim.cli.run_scenario", fail)
+    monkeypatch.delenv("FRAMESIM_WORKERS", raising=False)
+    out = str(tmp_path / "out")
+    if command == "run":
+        argv = ["run", str(collision_config_file), "--out", out]
+    else:
+        argv = ["sweep", str(collision_config_file), "--param", "dt",
+                "--values", "0.012", "--out", out]
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"simulation error: {type(error).__name__}: {error}\n"
 
 
 def test_verify_accepts_untouched_output(measurement_config_file, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from framesim.hilbert import (
 )
 
 from conftest import COUPLING_K, INTERNAL_H
-from oracles import dense_evolve, free_gaussian_width
+from oracles import dense_evolve, dense_hamiltonian, free_gaussian_width
 
 
 def random_state(space: Space, seed: int) -> StateVector:
@@ -49,6 +50,29 @@ def small_coupled_system(seed: int):
             anchor_position=0.3,
         ),
         hbar=1.0,
+    )
+    return random_state(space, seed + 1), h
+
+
+def anchored_coupled_system(seed: int):
+    """8x8x2: the coupling profile depends on S - A_cm, with a potential on S."""
+    rng = np.random.default_rng(seed)
+    space = Space((
+        Factor.coordinate("A_cm", fs.Grid(8, -2.0, 2.0)),
+        Factor.coordinate("S", fs.Grid(8, -4.0, 4.0)),
+        Factor.level("q", 2),
+    ))
+    h = fs.HamiltonianSpec(
+        kinetic={"A_cm": 7.0, "S": 1.3},
+        potentials={"S": rng.standard_normal(8)},
+        internal=("q", random_hermitian(rng, 2)),
+        interaction=fs.Interaction(
+            subject="S",
+            profile=fs.gaussian_profile(0.9, 1.1),
+            level="q",
+            coupling=random_hermitian(rng, 2),
+            anchor="A_cm",
+        ),
     )
     return random_state(space, seed + 1), h
 
@@ -105,6 +129,29 @@ def test_energy_is_conserved():
     e0 = fs.total_energy(psi, h)
     drifts = [abs(fs.total_energy(s, h) - e0) for _, s in res.trajectory]
     assert max(drifts) / abs(e0) <= 1e-6
+
+
+@pytest.mark.parametrize("system", [small_coupled_system, anchored_coupled_system])
+def test_diagnostic_hamiltonian_matches_dense_oracle(system):
+    psi, h = system(11)
+    v = psi.amplitudes.ravel()
+    dv = psi.space.volume_element
+    full = dense_hamiltonian(psi.space, h)
+    coupling = full - dense_hamiltonian(psi.space, replace(h, interaction=None))
+    energy = np.vdot(v, full @ v).real * dv
+    assert fs.total_energy(psi, h) == pytest.approx(energy, rel=1e-10)
+    coupling_energy = np.vdot(v, coupling @ v).real * dv
+    assert fs.interaction_energy(psi, h) == pytest.approx(coupling_energy, rel=1e-10)
+
+
+@pytest.mark.parametrize("system", [small_coupled_system, anchored_coupled_system])
+def test_checkpoint_diagnostics_match_recomputation(system):
+    psi, h = system(12)
+    res = fs.evolve_exact(psi, h, 1e-3, 300, 100)
+    assert len(res.energies) == len(res.couplings) == len(res.trajectory) == 4
+    for (_, state), energy, coupling in zip(res.trajectory, res.energies, res.couplings):
+        assert energy == pytest.approx(fs.total_energy(state, h), rel=1e-12, abs=1e-12)
+        assert coupling == pytest.approx(fs.interaction_energy(state, h), rel=1e-12, abs=1e-12)
 
 
 def criterion_2_system():

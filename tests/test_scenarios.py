@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,10 +123,30 @@ def test_collision_point_invariants(fast_collision_report):
     assert len(point.branch_probabilities) == 2
 
 
+SCHEMA = Path(__file__).resolve().parent.parent / "SCHEMA.md"
+
+
+def schema_keys(record: str) -> set[str]:
+    """The keys SCHEMA.md lists for a report record: the backticked names in
+    the first paragraph under its heading, plus the `record` tag."""
+    section = SCHEMA.read_text().split(f"### `{record}`", 1)[1].split("\n", 1)[1]
+    return set(re.findall(r"`(\w+)`", section.strip().split("\n\n", 1)[0])) | {"record"}
+
+
 def test_collision_records_are_serializable(fast_collision_report):
     records = fast_collision_report.to_records()
     text = json.dumps(records)
     assert "collision_summary" in text
+    for rec in records:
+        assert set(rec) == schema_keys(rec["record"])
+
+
+def test_measurement_records_are_serializable(fast_measurement_report):
+    records = fast_measurement_report.to_records()
+    json.dumps(records)
+    assert [rec["record"] for rec in records] == ["measurement", "partition"]
+    for rec in records:
+        assert set(rec) == schema_keys(rec["record"])
 
 
 def test_collision_rejects_overlapping_start(no_propagation):
