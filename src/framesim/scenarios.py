@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import combinations
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -847,6 +847,24 @@ class MeasurementReport:
         return [_record("measurement", self, skip="partition"), self.partition.to_record()]
 
 
+def _checkpoint(weights, compound_runs, b_runs, k: int) -> StateVector:
+    """Checkpoint k of sum_l w_l compound_l(t) (x) b_l(t), contracted over l
+    in one product so that the result is the only full-size array."""
+    compounds = np.stack([run.trajectory[k][1].amplitudes for run in compound_runs])
+    probes = np.stack(
+        [w * run.trajectory[k][1].amplitudes for w, run in zip(weights, b_runs)]
+    )
+    space = Space(compound_runs[0].final.space.factors + b_runs[0].final.space.factors)
+    return StateVector(space, np.tensordot(compounds, probes, axes=(0, 0)))
+
+
+def _diagnose(psi: StateVector, h: HamiltonianSpec, dt: float) -> tuple[float, float, float]:
+    """Norm deviation, <H> and <H_coupling> of one state, from a zero-step
+    propagation under h."""
+    result = evolve_exact(psi, h, dt, 0)
+    return result.norm_drift, result.energies[0], result.couplings[0]
+
+
 def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     """Two-particle measurement model: particle a is trapped near the heavy
     system while entangled partner b never couples to anything.
@@ -856,6 +874,15 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     branches of the final relative state reproduces the initial entanglement
     weights as outcome statistics, and each branch leaves b in the
     corresponding freely evolved component.
+
+    The full state is never propagated.  H is the compound Hamiltonian on
+    (cm, int, a) plus b's kinetic term, and every factor of its Strang step
+    acts on b as the free step or the identity, so the step is the compound
+    step times the b step.  The state at each checkpoint is therefore
+    exactly s * sum_l c_l compound_l(t) (x) b_l(t), with s the t = 0
+    normalization; only that sum is assembled, one checkpoint at a time,
+    and its norm, <H> and <H_coupling> come from the same grid operator a
+    full propagation would use.
     """
     if cfg.scenario != "position_measurement":
         raise ValidationError(
@@ -884,37 +911,48 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
         )
 
     coeffs = m.coefficients
-    psi_s = superpose(
-        [
-            (coeffs[l], tensor_product([a_states[l], b_states[l]]))
-            for l in range(len(coeffs))
-        ],
-        normalize=True,
-    )
+    pair_norm = superpose(
+        [(c, tensor_product([a, b])) for c, a, b in zip(coeffs, a_states, b_states)]
+    ).norm
+    weights = coeffs / pair_norm
     phi_int = level_state(LABEL_INT, cfg.internal.state)
-    psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, LABEL_CM)
+    phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
 
-    trap = m.a.trap
-    h = HamiltonianSpec(
-        kinetic={LABEL_CM: mass, LABEL_A: m.a.mass, LABEL_B: m.b.mass},
-        potentials={LABEL_A: trap.potential},
+    h_compound = HamiltonianSpec(
+        kinetic={LABEL_CM: mass, LABEL_A: m.a.mass},
+        potentials={LABEL_A: m.a.trap.potential},
         internal=(LABEL_INT, cfg.internal.hamiltonian),
         interaction=_coupling(cfg, LABEL_A),
         hbar=cfg.hbar,
     )
+    h_b = HamiltonianSpec(kinetic={LABEL_B: m.b.mass}, hbar=cfg.hbar)
+    h = replace(h_compound, kinetic={**h_compound.kinetic, **h_b.kinetic})
     steps = _steps_for(cfg)
-    exact = evolve_exact(psi0, h, cfg.dt, steps, cfg.checkpoint_every)
-    energy_drift = _energy_drift(exact.energies)
+    compound_runs = [
+        evolve_exact(tensor_product([phi_cm, phi_int, a]), h_compound, cfg.dt, steps,
+                     cfg.checkpoint_every)
+        for a in a_states
+    ]
+    b_runs = [evolve_exact(b, h_b, cfg.dt, steps, cfg.checkpoint_every) for b in b_states]
+
+    n_checkpoints = len(b_runs[0].trajectory)
+    norm_drifts, energies, couplings = zip(*(
+        _diagnose(_checkpoint(weights, compound_runs, b_runs, k), h, cfg.dt)
+        for k in range(n_checkpoints)
+    ))
+    norm_drift = max(norm_drifts)
+    energy_drift = _energy_drift(energies)
     # The coupling to the absorbed compound stays on; the contract concerns
     # the outgoing particle b, which has no coupling terms at all.
     free_particle_coupling = 0.0
-    interaction_initial = abs(exact.couplings[0])
-    interaction_final = abs(exact.couplings[-1])
+    interaction_initial = abs(couplings[0])
+    interaction_final = abs(couplings[-1])
 
     h_cm = HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=cfg.hbar)
-    phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
     phi_free = evolve_exact(phi_cm, h_cm, cfg.dt, steps, max(steps, 1)).final
-    extraction = extract_relative_state(exact.final, phi_free)
+    extraction = extract_relative_state(
+        _checkpoint(weights, compound_runs, b_runs, n_checkpoints - 1), phi_free
+    )
     psi1 = extraction.state
 
     cut = Bipartition([LABEL_INT, LABEL_A], [LABEL_B])
@@ -922,10 +960,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     expected = sorted((abs(c) for c in coeffs), reverse=True)
 
     # Freely evolved b components identify which branch realizes which outcome.
-    h_b = HamiltonianSpec(kinetic={LABEL_B: m.b.mass}, hbar=cfg.hbar)
-    b_evolved = [
-        evolve_exact(b, h_b, cfg.dt, steps, max(steps, 1)).final for b in b_states
-    ]
+    b_evolved = [run.final for run in b_runs]
     outcome_of_branch = []
     branch_deficits = []
     for j in range(result.rank):
@@ -935,18 +970,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
         branch_deficits.append(1.0 - fids[outcome])
 
     # Independently evolved absorbed compounds, for the orthogonality report.
-    h_compound = HamiltonianSpec(
-        kinetic={LABEL_CM: mass, LABEL_A: m.a.mass},
-        potentials={LABEL_A: trap.potential},
-        internal=(LABEL_INT, cfg.internal.hamiltonian),
-        interaction=_coupling(cfg, LABEL_A),
-        hbar=cfg.hbar,
-    )
-    compounds = []
-    for a_l in a_states:
-        comp0 = tensor_product([phi_cm, phi_int, a_l])
-        comp = evolve_exact(comp0, h_compound, cfg.dt, steps, max(steps, 1)).final
-        compounds.append(extract_relative_state(comp, phi_free).state)
+    compounds = [extract_relative_state(run.final, phi_free).state for run in compound_runs]
     compound_overlap = abs(inner_product(compounds[0], compounds[1]))
 
     sampler = BranchSampler(cfg.seeds.branch)
@@ -984,7 +1008,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
         absorption_declared=bool(absorbed_mass >= 1.0 - cfg.partition.eps),
         free_particle_coupling=free_particle_coupling,
         partition=partition,
-        norm_drift=float(exact.norm_drift),
+        norm_drift=float(norm_drift),
         energy_drift=float(energy_drift),
         interaction_initial=float(interaction_initial),
         interaction_final=float(interaction_final),

@@ -327,3 +327,123 @@ def test_measurement_rejects_overlapping_components():
     raw["measurement"]["a"]["trap"]["centers"] = [0.8, 0.8]
     with pytest.raises(PropagationError, match="not separated"):
         run_position_measurement(ScenarioConfig.from_dict(raw))
+
+
+def oracle_measurement_dict() -> dict:
+    """A short measurement on a small center-of-mass grid, chosen so that each
+    term of the assembled sum shows in the report: the coefficients are
+    normalized only to 3.8e-11 (inside validation's 1e-10), so the t = 0
+    normalization moves `norm_drift`; and the near region reaches the tail of
+    b's second packet but not its first, so pairing b_l with the wrong
+    compound moves the partition leakage."""
+    raw = fast_measurement_dict()
+    raw["center_of_mass"]["points"] = 32
+    raw["center_of_mass"]["half_width_sigmas"] = 5.2
+    raw["checkpoint_every"] = 10
+    raw["schedule"] = {"t_initial": 0.08, "t_interaction": 0.16, "t_final": 0.24}
+    raw["measurement"]["coefficients"] = {"real": [0.6, 0.8 + 2.4e-11], "imag": [0.0, 0.0]}
+    raw["partition"]["near_hi"] = 12.0
+    return raw
+
+
+def dense_measurement(cfg: ScenarioConfig) -> dict:
+    """The report fields of `cfg` from the full 4-factor state, propagated
+    as one array under the full Hamiltonian."""
+    m = cfg.measurement
+    mass = cfg.center_of_mass.masses[0]
+    params = fs.GaussianParams.scaled(
+        mass, cfg.center_of_mass.sigma_ref, hbar=cfg.hbar, mass_unit=cfg.mass_unit
+    )
+    half = cfg.center_of_mass.half_width_sigmas * params.sigma
+    grid_cm = Grid(cfg.center_of_mass.points, -half, half)
+
+    def packets(spec, label):
+        grid = spec.grid.to_grid()
+        return [
+            make_gaussian(grid, fs.GaussianParams(
+                r0=p.r0, p0=p.p0, sigma=p.sigma, mass=spec.mass, hbar=cfg.hbar,
+                mass_unit=cfg.mass_unit,
+            ), label)
+            for p in spec.packets
+        ]
+
+    psi_s = fs.superpose(
+        [
+            (c, tensor_product([a, b]))
+            for c, a, b in zip(m.coefficients, packets(m.a, "a"), packets(m.b, "b"))
+        ],
+        normalize=True,
+    )
+    phi_int = fs.level_state("A_int", cfg.internal.state)
+    psi0 = fs.lift_to_auxiliary(phi_int, psi_s, params, grid_cm, "A_cm")
+    h = fs.HamiltonianSpec(
+        kinetic={"A_cm": mass, "a": m.a.mass, "b": m.b.mass},
+        potentials={"a": m.a.trap.potential},
+        internal=("A_int", cfg.internal.hamiltonian),
+        interaction=fs.Interaction(
+            subject="a",
+            anchor="A_cm",
+            profile=fs.gaussian_profile(cfg.coupling.strength, cfg.coupling.width),
+            level="A_int",
+            coupling=cfg.coupling.matrix,
+        ),
+        hbar=cfg.hbar,
+    )
+    steps = int(round(cfg.schedule.t_final / cfg.dt))
+    exact = fs.evolve_exact(psi0, h, cfg.dt, steps, cfg.checkpoint_every)
+    phi_free = fs.evolve_exact(
+        make_gaussian(grid_cm, params, "A_cm"),
+        fs.HamiltonianSpec(kinetic={"A_cm": mass}, hbar=cfg.hbar),
+        cfg.dt, steps, steps,
+    ).final
+    extraction = fs.extract_relative_state(exact.final, phi_free)
+    psi1 = extraction.state
+    schmidt = fs.schmidt_decompose(psi1, fs.Bipartition(["A_int", "a"], ["b"]))
+    expected = sorted(abs(c) for c in m.coefficients)[::-1]
+    x_a = psi1.space.factor("a").grid.positions()
+    inside = (x_a >= cfg.partition.near_lo) & (x_a <= cfg.partition.near_hi)
+    e0 = exact.energies[0]
+    return {
+        "overlap_weight": extraction.overlap_weight,
+        "schmidt_coefficients": list(schmidt.coefficients),
+        "coefficient_error": max(abs(s - e) for s, e in zip(schmidt.coefficients, expected)),
+        "norm_drift": exact.norm_drift,
+        "energy_drift": max(abs(e - e0) for e in exact.energies) / abs(e0),
+        "interaction_initial": abs(exact.couplings[0]),
+        "interaction_final": abs(exact.couplings[-1]),
+        "absorbed_mass": float(np.sum(fs.hilbert.position_marginal(psi1, "a")[inside])),
+        "leakage": detect_partition(psi1, cfg.partition).leakage,
+    }
+
+
+def test_measurement_matches_dense_propagation():
+    cfg = ScenarioConfig.from_dict(oracle_measurement_dict())
+    rep = run_position_measurement(cfg)
+    oracle = dense_measurement(cfg)
+    got = {key: getattr(rep, key) for key in oracle if key != "leakage"}
+    got["leakage"] = rep.partition.leakage
+    assert got["leakage"] > 1e-3  # b's second packet reaches into the near region
+    for key, want in oracle.items():
+        assert got[key] == pytest.approx(want, rel=0.0, abs=1e-12), key
+
+
+def test_measurement_never_propagates_the_full_state(monkeypatch):
+    calls = []
+    original = fs.dynamics.evolve_exact
+
+    def record(psi0, h, dt, steps, checkpoint_every=100):
+        calls.append((psi0.space.dims, steps))
+        return original(psi0, h, dt, steps, checkpoint_every)
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", record)
+    cfg = ScenarioConfig.from_dict(fast_measurement_dict())
+    run_position_measurement(cfg)
+    m = cfg.measurement
+    full = (cfg.center_of_mass.points, cfg.internal.dim, m.a.grid.points, m.b.grid.points)
+    steps = int(round(cfg.schedule.t_final / cfg.dt))
+    checkpoints = len(range(0, steps, cfg.checkpoint_every)) + 1
+    propagations = [dims for dims, n in calls if n > 0]
+    assert full not in propagations
+    # two compounds, two b packets, and the free center-of-mass packet
+    assert len(propagations) == 5
+    assert [dims for dims, n in calls if n == 0] == [full] * checkpoints
