@@ -231,10 +231,6 @@ def _summary_fields(record_stream: list[dict]) -> dict:
             out["fidelity_deficit"] = rec["fidelity_deficits"][-1]
             out["residual_norm"] = rec["residual_norms"][-1]
             out["trace_distance"] = rec["trace_distances"][-1]
-        elif rec.get("record") == "collision_point":
-            out["fidelity_deficit"] = rec["fidelity_deficit"]
-            out["residual_norm"] = rec["residual_norm"]
-            out["trace_distance"] = rec["trace_distance"]
     return out
 
 
@@ -406,19 +402,24 @@ def cmd_verify(out_dir: str) -> int:
             continue
         try:
             manifest = json.loads(manifest_path.read_text())
+            if not isinstance(manifest, dict):
+                raise ValueError("manifest is not an object")
             payload = report_path.read_bytes()
             records = [
                 json.loads(line) for line in payload.decode("utf-8").splitlines() if line
             ]
-        except (json.JSONDecodeError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
             failures.append(f"{label}: corrupt report or manifest ({exc})")
             continue
         digest = hashlib.sha256(payload).hexdigest()
         if digest != manifest.get("report_digest"):
             failures.append(f"{label}: report digest mismatch")
         for i, rec in enumerate(records):
-            for problem in _verify_record(rec):
-                failures.append(f"{label}: record {i}: {problem}")
+            try:
+                problems = _verify_record(rec)
+            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                problems = [f"malformed ({type(exc).__name__}: {exc})"]
+            failures += [f"{label}: record {i}: {problem}" for problem in problems]
     if failures:
         for line in failures:
             print(f"verification failed: {line}", file=sys.stderr)

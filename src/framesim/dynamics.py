@@ -200,7 +200,6 @@ class _GridHamiltonian:
         and each factor is returned level indices first, every entry a
         contiguous array over positions, for `levels`.
         """
-        self.check_time_step(dt)
         phase = None
         if self.kinetic_axes:
             phase = np.exp(-1j * dt * (self.kinetic() / self.hbar))
@@ -312,7 +311,9 @@ def evolve_exact(
     if checkpoint_every < 1:
         raise ValidationError("checkpoint_every must be >= 1")
     op = _GridHamiltonian(psi0.space, h)
-    phase, half, full = op.propagators(dt)
+    op.check_time_step(dt)
+    # A zero-step call only takes the diagnostics, so it builds no factors.
+    phase, half, full = op.propagators(dt) if steps else (None, None, None)
     amps = psi0.amplitudes
     trajectory: list[tuple[float, StateVector]] = [(0.0, psi0)]
     norm_drift = abs(psi0.norm - 1.0)

@@ -253,12 +253,6 @@ class ScenarioConfig:
             raise ValidationError("center_of_mass.masses must be non-empty")
         if self.internal.state.shape != (self.internal.dim,):
             raise ValidationError("internal state must be a vector of length dim")
-        if self.internal.hamiltonian.shape != (self.internal.dim,) * 2:
-            raise ValidationError("internal Hamiltonian must be dim x dim")
-        if self.coupling.matrix.shape != (self.internal.dim,) * 2:
-            raise ValidationError("coupling matrix must be dim x dim")
-        if self.coupling.width <= 0.0:
-            raise ValidationError("coupling width must be positive")
         if self.partition.eps <= 0.0 or self.partition.near_lo >= self.partition.near_hi:
             raise ValidationError("partition needs near_lo < near_hi and eps > 0")
         if self.seeds.branch < 0:
@@ -266,11 +260,8 @@ class ScenarioConfig:
         if self.seeds.trials < 1:
             raise ValidationError("seeds.trials must be >= 1")
         if self.scenario == "collision":
-            p = self.particle
-            if p is None:
+            if self.particle is None:
                 raise ValidationError("collision scenario needs a 'particle' section")
-            if p.mass <= 0.0:
-                raise ValidationError("all masses must be positive")
         else:
             m = self.measurement
             if m is None:
@@ -279,8 +270,6 @@ class ScenarioConfig:
                 )
             if len(self.center_of_mass.masses) != 1:
                 raise ValidationError("position_measurement needs exactly one mass")
-            if m.a.mass <= 0.0 or m.b.mass <= 0.0:
-                raise ValidationError("all masses must be positive")
             if m.a.trap.width <= 0.0:
                 raise ValidationError("measurement.a.trap.width must be positive")
             total = float(np.sum(np.abs(m.coefficients) ** 2))
@@ -294,44 +283,26 @@ class ScenarioConfig:
         self._check_discretization()
 
     def _check_discretization(self) -> None:
-        """Build every grid and initial packet, and test dt against each mass
-        point's fastest kinetic phase, so that a run fails on them before it
-        propagates anything."""
-        cm = self.center_of_mass
+        """Dry run of the setup: build every grid, the packets and level
+        state, and at each mass the run's space and Hamiltonian, and test dt
+        against it, so that a bad packet, level state or matrix, coupling
+        width or time step fails before a run propagates anything."""
         with _at("center_of_mass residual window"):
-            Grid(cm.residual_points, -cm.residual_half_width, cm.residual_half_width)
-        if self.scenario == "collision":
-            p = self.particle
-            subjects = [(LABEL_S, "particle", p, {"particle.packet": p.packet})]
-        else:
-            m = self.measurement
-            subjects = [
-                (label, f"measurement.{label}", spec, {
-                    f"measurement.{label}.packets[{i}]": q
-                    for i, q in enumerate(spec.packets)
-                })
-                for label, spec in ((LABEL_A, m.a), (LABEL_B, m.b))
-            ]
-        factors = []
-        kinetic = {}
-        # Subject packets come first: GaussianParams rejects hbar <= 0 and
+            _residual_window(self)
+        # Packets come first: GaussianParams rejects hbar <= 0 and
         # mass_unit <= 0 before _cm_setup divides by them.
-        for label, path, spec, packets in subjects:
-            with _at(f"{path}.grid"):
-                grid = spec.grid.to_grid()
-            for where, packet in packets.items():
-                with _at(where):
-                    make_gaussian(
-                        grid, packet.params(spec.mass, self.hbar, self.mass_unit), label
-                    )
-            factors.append(Factor.coordinate(label, grid))
-            kinetic[label] = spec.mass
-        for mass in cm.masses:
+        packets = _initial_packets(self)
+        with _at("internal.state"):
+            level_state(LABEL_INT, self.internal.state)
+        factors = (Factor.level(LABEL_INT, self.internal.dim),
+                   *(states[0].space.factors[0] for states in packets.values()))
+        for mass in self.center_of_mass.masses:
             with _at(f"center_of_mass (mass {mass:g})"):
                 grid_cm, params = _cm_setup(self, mass)
                 make_gaussian(grid_cm, params, LABEL_CM)
-            h = HamiltonianSpec(kinetic={LABEL_CM: mass, **kinetic}, hbar=self.hbar)
-            with _at(f"dt (mass {mass:g})"):
+            with _at(f"mass {mass:g}"):
+                h = (_collision_hamiltonian(self, mass) if self.scenario == "collision"
+                     else _measurement_hamiltonians(self, mass)[2])
                 check_time_step(Space((Factor.coordinate(LABEL_CM, grid_cm), *factors)),
                                 h, self.dt)
 
@@ -445,6 +416,28 @@ def _cm_setup(cfg: ScenarioConfig, mass: float) -> tuple[Grid, GaussianParams]:
     return Grid(cfg.center_of_mass.points, -half, half), params
 
 
+def _initial_packets(cfg: ScenarioConfig) -> dict[str, list[StateVector]]:
+    """Each light particle's initial packets on its grid, keyed by factor
+    label; a bad grid or packet fails under its config path."""
+    if cfg.scenario == "collision":
+        subjects = [(LABEL_S, "particle", cfg.particle, {"packet": cfg.particle.packet})]
+    else:
+        m = cfg.measurement
+        subjects = [(label, f"measurement.{label}", spec,
+                     {f"packets[{i}]": q for i, q in enumerate(spec.packets)})
+                    for label, spec in ((LABEL_A, m.a), (LABEL_B, m.b))]
+    packets = {}
+    for label, path, spec, specs in subjects:
+        with _at(f"{path}.grid"):
+            grid = spec.grid.to_grid()
+        packets[label] = []
+        for where, q in specs.items():
+            with _at(f"{path}.{where}"):
+                params = q.params(spec.mass, cfg.hbar, cfg.mass_unit)
+                packets[label].append(make_gaussian(grid, params, label))
+    return packets
+
+
 def _coupling(cfg: ScenarioConfig, subject: str) -> Interaction:
     return Interaction(
         subject=subject,
@@ -461,9 +454,12 @@ def _record(kind: str, report, skip: str | None = None) -> dict:
     return {"record": kind, **body}
 
 
-def _uniform_state(grid: Grid, label: str) -> StateVector:
+def _residual_window(cfg: ScenarioConfig) -> StateVector:
+    """Uniform weight over the residual window's anchor positions."""
+    cm = cfg.center_of_mass
+    grid = Grid(cm.residual_points, -cm.residual_half_width, cm.residual_half_width)
     amps = np.full(grid.n_points, 1.0 / math.sqrt(grid.x_max - grid.x_min))
-    return StateVector(Space((Factor.coordinate(label, grid),)), amps)
+    return StateVector(Space((Factor.coordinate(LABEL_CM, grid),)), amps)
 
 
 def _check_three_periods(cfg, result) -> tuple[float, float]:
@@ -569,9 +565,11 @@ class CollisionReport:
         return records
 
 
-def _collision_hamiltonian(cfg: ScenarioConfig, mass: float) -> HamiltonianSpec:
+def _collision_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> HamiltonianSpec:
+    """The collision H; with no mass it has no center-of-mass kinetic term."""
+    cm = {} if mass is None else {LABEL_CM: mass}
     return HamiltonianSpec(
-        kinetic={LABEL_CM: mass, LABEL_S: cfg.particle.mass},
+        kinetic={**cm, LABEL_S: cfg.particle.mass},
         internal=(LABEL_INT, cfg.internal.hamiltonian),
         interaction=_coupling(cfg, LABEL_S),
         hbar=cfg.hbar,
@@ -609,19 +607,12 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     That propagation does not depend on the mass, so it runs once per sweep;
     each mass enters only through P^2 / 2 mass on its final state.
     """
-    cm = cfg.center_of_mass
-    grid_w = Grid(cm.residual_points, -cm.residual_half_width, cm.residual_half_width)
-    flat = _uniform_state(grid_w, LABEL_CM)
-    psi0 = tensor_product([flat, phi_int, psi_s])
-    h_par = HamiltonianSpec(
-        kinetic={LABEL_S: cfg.particle.mass},
-        internal=(LABEL_INT, cfg.internal.hamiltonian),
-        interaction=_coupling(cfg, LABEL_S),
-        hbar=cfg.hbar,
-    )
+    psi0 = tensor_product([_residual_window(cfg), phi_int, psi_s])
     steps = _steps_for(cfg)
-    final = evolve_exact(psi0, h_par, cfg.dt, steps, checkpoint_every=max(steps, 1)).final
-    return [factorization_residual(final, m, cfg.hbar, LABEL_CM) for m in cm.masses]
+    final = evolve_exact(psi0, _collision_hamiltonian(cfg, None), cfg.dt, steps,
+                         checkpoint_every=max(steps, 1)).final
+    return [factorization_residual(final, m, cfg.hbar, LABEL_CM)
+            for m in cfg.center_of_mass.masses]
 
 
 def _collision_point(
@@ -680,11 +671,7 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
     """Collision experiment over the configured mass sweep."""
     if cfg.scenario != "collision":
         raise ValidationError(f"config is for scenario {cfg.scenario!r}, not collision")
-    psi_s = make_gaussian(
-        cfg.particle.grid.to_grid(),
-        cfg.particle.packet.params(cfg.particle.mass, cfg.hbar, cfg.mass_unit),
-        LABEL_S,
-    )
+    (psi_s,) = _initial_packets(cfg)[LABEL_S]
     phi_int = level_state(LABEL_INT, cfg.internal.state)
     masses = cfg.center_of_mass.masses
     for mass in masses:
@@ -847,6 +834,23 @@ class MeasurementReport:
         return [_record("measurement", self, skip="partition"), self.partition.to_record()]
 
 
+def _measurement_hamiltonians(
+    cfg: ScenarioConfig, mass: float
+) -> tuple[HamiltonianSpec, HamiltonianSpec, HamiltonianSpec]:
+    """The compound H on (cm, int, a), b's kinetic term, and the full H that
+    is their sum."""
+    m = cfg.measurement
+    h_compound = HamiltonianSpec(
+        kinetic={LABEL_CM: mass, LABEL_A: m.a.mass},
+        potentials={LABEL_A: m.a.trap.potential},
+        internal=(LABEL_INT, cfg.internal.hamiltonian),
+        interaction=_coupling(cfg, LABEL_A),
+        hbar=cfg.hbar,
+    )
+    h_b = HamiltonianSpec(kinetic={LABEL_B: m.b.mass}, hbar=cfg.hbar)
+    return h_compound, h_b, replace(h_compound, kinetic={**h_compound.kinetic, **h_b.kinetic})
+
+
 def _checkpoint(weights, compound_runs, b_runs, k: int) -> StateVector:
     """Checkpoint k of sum_l w_l compound_l(t) (x) b_l(t), contracted over l
     in one product so that the result is the only full-size array."""
@@ -891,17 +895,8 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     m = cfg.measurement
     mass = cfg.center_of_mass.masses[0]
     grid_cm, cm_params = _cm_setup(cfg, mass)
-    grid_a = m.a.grid.to_grid()
-    grid_b = m.b.grid.to_grid()
-
-    a_states = [
-        make_gaussian(grid_a, p.params(m.a.mass, cfg.hbar, cfg.mass_unit), LABEL_A)
-        for p in m.a.packets
-    ]
-    b_states = [
-        make_gaussian(grid_b, p.params(m.b.mass, cfg.hbar, cfg.mass_unit), LABEL_B)
-        for p in m.b.packets
-    ]
+    packets = _initial_packets(cfg)
+    a_states, b_states = packets[LABEL_A], packets[LABEL_B]
     a_overlap = abs(inner_product(a_states[0], a_states[1]))
     b_overlap = abs(inner_product(b_states[0], b_states[1]))
     if a_overlap > SEPARATION_TOL:
@@ -918,15 +913,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     phi_int = level_state(LABEL_INT, cfg.internal.state)
     phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
 
-    h_compound = HamiltonianSpec(
-        kinetic={LABEL_CM: mass, LABEL_A: m.a.mass},
-        potentials={LABEL_A: m.a.trap.potential},
-        internal=(LABEL_INT, cfg.internal.hamiltonian),
-        interaction=_coupling(cfg, LABEL_A),
-        hbar=cfg.hbar,
-    )
-    h_b = HamiltonianSpec(kinetic={LABEL_B: m.b.mass}, hbar=cfg.hbar)
-    h = replace(h_compound, kinetic={**h_compound.kinetic, **h_b.kinetic})
+    h_compound, h_b, h = _measurement_hamiltonians(cfg, mass)
     steps = _steps_for(cfg)
     compound_runs = [
         evolve_exact(tensor_product([phi_cm, phi_int, a]), h_compound, cfg.dt, steps,
@@ -981,7 +968,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     freqs = [c / cfg.seeds.trials for c in counts]
 
     a_marginal = position_marginal(psi1, LABEL_A)
-    inside = _inside_mask(grid_a, cfg.partition)
+    inside = _inside_mask(a_states[0].space.factor(LABEL_A).grid, cfg.partition)
     absorbed_mass = float(np.sum(a_marginal[inside]))
     partition = detect_partition(psi1, cfg.partition)
 

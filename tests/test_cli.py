@@ -109,6 +109,10 @@ BAD_OVERRIDES = [
     ("hbar=0", EXIT_VALIDATION),
     ("no.such.key=1", EXIT_VALIDATION),
     ("dt", EXIT_VALIDATION),
+    ('coupling.matrix={"real":[[0,1],[0,0]]}', EXIT_VALIDATION),  # not Hermitian
+    ('internal.hamiltonian={"real":[[0,1],[0,0]]}', EXIT_VALIDATION),  # not Hermitian
+    ('internal.state={"real":[0,0]}', EXIT_VALIDATION),  # cannot be normalized
+    ('coupling.matrix={"real":[[1,0,0],[0,1,0],[0,0,1]]}', EXIT_VALIDATION),  # 3x3, dim 2
 ]
 
 
@@ -125,6 +129,7 @@ def test_bad_override_exit_code(
 BAD_MEASUREMENT_OVERRIDES = [
     ("measurement.a.trap.width=0", EXIT_VALIDATION),
     ("measurement.a.trap.width=-1", EXIT_VALIDATION),
+    ('coupling.matrix={"real":[[0,1],[0,0]]}', EXIT_VALIDATION),  # not Hermitian
 ]
 
 
@@ -241,6 +246,32 @@ def test_verify_rejects_edited_probability(measurement_config_file, tmp_path, ca
     )
     assert cmd_verify(str(out)) == EXIT_VERIFY
     assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("malformed, message", [
+    ("missing field", "record 0: malformed (KeyError: 'outcome_counts')"),
+    ("record not an object", "record 1: malformed (AttributeError:"),
+    ("manifest not an object", "corrupt report or manifest (manifest is not an object)"),
+], ids=["missing-field", "record-not-object", "manifest-not-object"])
+def test_verify_rejects_malformed_output(
+    measurement_config_file, tmp_path, capsys, malformed, message
+):
+    out = tmp_path / "out"
+    assert cmd_run(str(measurement_config_file), str(out)) == EXIT_OK
+    report = out / "report.jsonl"
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    if malformed == "manifest not an object":
+        (out / "manifest.json").write_text("[]\n")
+    else:
+        if malformed == "missing field":
+            del records[0]["outcome_counts"]
+        else:
+            records[1] = [records[1]]
+        report.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert cmd_verify(str(out)) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
 
 
 def test_verify_rejects_empty_directory(tmp_path, capsys):
