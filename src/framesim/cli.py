@@ -6,10 +6,13 @@ one-line header.  A manifest records the canonical config digest, seeds,
 tool version, output paths, a digest of the report bytes, and wall-clock
 timings.  Reports contain no timestamps, so identical configs and seeds
 reproduce byte-identical report files; timings live only in the manifest.
+A sweep runs the config once per value, each run as `run` does it, and
+builds its tables from the records the runs return (SWEEP_COLUMNS).
 
-Exit codes: 0 success, 2 config parse error, 3 validation error, 4 runtime
-simulation error (including a numpy LinAlgError or a MemoryError during the
-run), 5 verification failure (missing, corrupt, or inconsistent reports).
+Exit codes: 0 success, 2 config parse error, 3 validation error (also bad
+sweep values or FRAMESIM_WORKERS), 4 runtime simulation error (including a
+numpy LinAlgError or a MemoryError during the run, and a sweep worker that
+dies), 5 verification failure (missing, corrupt, or inconsistent reports).
 
 The environment variable FRAMESIM_WORKERS selects the sweep worker-pool
 size, a positive integer; unset or 1 means sequential execution.
@@ -28,7 +31,7 @@ from pathlib import Path
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .errors import FrameSimError, ValidationError
+from .errors import FrameSimError, PropagationError, ValidationError
 from .scenarios import ScenarioConfig, run_scenario
 
 EXIT_OK = 0
@@ -49,51 +52,27 @@ HERMITICITY_LIMIT = 1e-10
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _plain(value):
-    """Coerce report values to JSON-serializable python scalars/containers."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if hasattr(value, "item"):
-        return _plain(value.item())
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    return value
-
-
 def canonical_config_text(raw: dict) -> str:
-    """Sorted-key, normalized-number JSON form used for hashing."""
-    return json.dumps(_plain(raw), sort_keys=True, separators=(",", ":"))
+    """Sorted-key compact JSON form used for hashing."""
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
 def config_digest(raw: dict) -> str:
     return hashlib.sha256(canonical_config_text(raw).encode("utf-8")).hexdigest()
 
 
-def _dump_records(records: list[dict]) -> bytes:
-    lines = [
-        json.dumps(_plain(rec), sort_keys=True, separators=(",", ":"))
-        for rec in records
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def _write_report(out_dir: Path, records: list[dict]) -> tuple[Path, str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / REPORT_NAME
-    payload = _dump_records(records)
+    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(payload)
     return path, hashlib.sha256(payload).hexdigest()
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> Path:
     path = out_dir / MANIFEST_NAME
-    path.write_text(json.dumps(_plain(manifest), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -107,9 +86,7 @@ def _format_number(x) -> str:
 
 def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_number(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_format_number, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -159,6 +136,20 @@ def _prepare_config(
     return raw, ScenarioConfig.from_dict(raw)
 
 
+def _checked(prepare, *args):
+    """prepare(*args) and exit 0, or None and exit 2 (config parse error) or 3
+    (validation error) after one stderr line.  Every command prepares this
+    way, so a bad input ends before any simulation starts."""
+    try:
+        return prepare(*args), EXIT_OK
+    except (json.JSONDecodeError, OSError) as exc:
+        print(f"config parse error: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
+    except ValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return None, EXIT_VALIDATION
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -173,7 +164,8 @@ def _simulation_error(exc: BaseException) -> int:
     return EXIT_RUNTIME
 
 
-def _execute(raw: dict, cfg: ScenarioConfig, out_dir: Path) -> dict:
+def _execute(raw: dict, cfg: ScenarioConfig, out_dir: Path) -> tuple[dict, list[dict]]:
+    """Run one scenario into out_dir; return its manifest and report records."""
     started = time.perf_counter()
     report = run_scenario(cfg)
     elapsed = time.perf_counter() - started
@@ -182,32 +174,23 @@ def _execute(raw: dict, cfg: ScenarioConfig, out_dir: Path) -> dict:
     manifest = {
         "tool_version": __version__,
         "config_digest": config_digest(raw),
-        "config": _plain(raw),
+        "config": raw,
         "seeds": [cfg.seeds.branch],
         "outputs": {"report": report_path.name},
         "report_digest": digest,
         "timings": {"run_seconds": elapsed},
     }
     _write_manifest(out_dir, manifest)
-    return manifest
+    return manifest, records
 
 
-def cmd_run(
-    config_path: str,
-    out_dir: str,
-    overrides: list[str] | None = None,
-    seed: int | None = None,
-) -> int:
+def cmd_run(config_path: str, out_dir: str, overrides: list[str] | None = None,
+            seed: int | None = None) -> int:
+    prepared, code = _checked(_prepare_config, config_path, overrides or [], seed)
+    if code:
+        return code
     try:
-        raw, cfg = _prepare_config(config_path, overrides or [], seed)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        _execute(raw, cfg, Path(out_dir))
+        _execute(*prepared, Path(out_dir))
     except SIMULATION_ERRORS as exc:
         return _simulation_error(exc)
     return EXIT_OK
@@ -217,108 +200,100 @@ def cmd_run(
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_worker(args: tuple[dict, str]) -> dict:
+# The sweep table columns of each scenario: the record that holds them, and
+# per column the record field it takes.  A list field gives the run's last
+# mass, in config order.
+SWEEP_COLUMNS = {
+    "collision_summary": {
+        name: name + "s" for name in ("fidelity_deficit", "residual_norm", "trace_distance")
+    },
+    "measurement": {
+        name: name for name in ("coefficient_error", "overlap_weight", "absorbed_mass")
+    },
+}
+
+
+def _sweep_worker(args: tuple[dict, str]) -> tuple[dict, list[dict]]:
     raw, scenario_dir = args
-    cfg = ScenarioConfig.from_dict(raw)
-    return _execute(raw, cfg, Path(scenario_dir))
+    return _execute(raw, ScenarioConfig.from_dict(raw), Path(scenario_dir))
 
 
-def _summary_fields(record_stream: list[dict]) -> dict:
-    """Pull the per-run summary numbers used in sweep tables."""
-    out = {"fidelity_deficit": None, "residual_norm": None, "trace_distance": None}
-    for rec in record_stream:
-        if rec.get("record") == "collision_summary":
-            out["fidelity_deficit"] = rec["fidelity_deficits"][-1]
-            out["residual_norm"] = rec["residual_norms"][-1]
-            out["trace_distance"] = rec["trace_distances"][-1]
-    return out
+def _sweep_jobs(
+    config_path: str, param: str, values: list, out_dir: str, seed: int | None
+) -> tuple[list[float], list[tuple[dict, str]], int]:
+    """The sweep's values, one (config, run directory) job per value, and the
+    worker count; every value is validated before anything runs."""
+    try:
+        values = [float(v) for v in values]
+    except ValueError as exc:
+        raise ValidationError(f"bad sweep values: {exc}") from None
+    raw_base, _ = _prepare_config(config_path, [], seed)
+    if not values:
+        raise ValidationError("sweep needs at least one value")
+    setting = os.environ.get("FRAMESIM_WORKERS", "") or "1"
+    if not setting.isdecimal() or int(setting) < 1:
+        raise ValidationError(
+            f"FRAMESIM_WORKERS must be a positive integer, got {setting!r}"
+        )
+    jobs = []
+    for i, value in enumerate(values):
+        raw = json.loads(json.dumps(raw_base))
+        # Sweeping the heavy mass replaces the whole sweep list; the
+        # packet dispersion then rescales as 1/sqrt(mass) per run.
+        apply_override(raw, param, [value] if param == "center_of_mass.masses" else value)
+        ScenarioConfig.from_dict(raw)
+        jobs.append((raw, str(Path(out_dir) / f"run-{i:03d}")))
+    return values, jobs, int(setting)
+
+
+def _sweep_results(jobs: list[tuple[dict, str]], workers: int) -> list:
+    """_sweep_worker of each job, in a process pool when workers > 1.  A dead
+    pool worker is a simulation error; an error cancels unstarted jobs."""
+    if workers == 1:
+        return [_sweep_worker(job) for job in jobs]
+    # Imported here, so that runs and sequential sweeps do not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(min(workers, len(jobs)))
+    try:
+        return list(pool.map(_sweep_worker, jobs))
+    except BrokenProcessPool as exc:
+        raise PropagationError(f"{type(exc).__name__}: {exc}")
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_sweep(
-    config_path: str,
-    param: str,
-    values: list[float],
-    out_dir: str,
-    seed: int | None = None,
+    config_path: str, param: str, values: list, out_dir: str, seed: int | None = None
 ) -> int:
+    """Run the config once per value of param (numbers, or their text)."""
+    prepared, code = _checked(_sweep_jobs, config_path, param, values, out_dir, seed)
+    if code:
+        return code
+    values, jobs, workers = prepared
     try:
-        raw_base, _ = _prepare_config(config_path, [], seed)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not values:
-        print("validation error: sweep needs at least one value", file=sys.stderr)
-        return EXIT_VALIDATION
-    setting = os.environ.get("FRAMESIM_WORKERS", "") or "1"
-    workers = int(setting) if setting.isdecimal() else 0
-    if workers < 1:
-        print(f"validation error: FRAMESIM_WORKERS must be a positive integer, "
-              f"got {setting!r}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    jobs = []
-    try:
-        for i, value in enumerate(values):
-            raw = json.loads(json.dumps(raw_base))
-            # Sweeping the heavy mass replaces the whole sweep list; the
-            # packet dispersion then rescales as 1/sqrt(mass) per run.
-            if param == "center_of_mass.masses":
-                apply_override(raw, param, [value])
-            else:
-                apply_override(raw, param, value)
-            ScenarioConfig.from_dict(raw)  # validate before launching anything
-            jobs.append((raw, str(Path(out_dir) / f"run-{i:03d}")))
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        if workers > 1:
-            from multiprocessing import Pool
-
-            with Pool(workers) as pool:
-                manifests = pool.map(_sweep_worker, jobs)
-        else:
-            manifests = [_sweep_worker(job) for job in jobs]
+        results = _sweep_results(jobs, workers)
     except SIMULATION_ERRORS as exc:
         return _simulation_error(exc)
 
+    rows = []
+    for value, (_, records) in zip(values, results):
+        rec = next(r for r in records if r["record"] in SWEEP_COLUMNS)
+        columns = SWEEP_COLUMNS[rec["record"]]
+        cells = [rec[field] for field in columns.values()]
+        rows.append([value] + [c[-1] if isinstance(c, list) else c for c in cells])
     base = Path(out_dir)
-    summary_rows = []
-    for i, value in enumerate(values):
-        report_path = base / f"run-{i:03d}" / REPORT_NAME
-        records = [
-            json.loads(line) for line in report_path.read_text().splitlines() if line
-        ]
-        fields = _summary_fields(records)
-        summary_rows.append(
-            [
-                value,
-                fields["fidelity_deficit"],
-                fields["residual_norm"],
-                fields["trace_distance"],
-            ]
-        )
-    header = [param, "fidelity_deficit", "residual_norm", "trace_distance"]
-    clean_rows = [
-        [v if v is not None else float("nan") for v in row] for row in summary_rows
-    ]
-    _write_table(base / "summary.csv", header, clean_rows)
-    for col, name in ((1, "fidelity_deficit"), (2, "residual_norm"), (3, "trace_distance")):
-        _write_table(
-            base / "plots" / f"{name}.csv",
-            [param, name],
-            [[row[0], row[col]] for row in clean_rows],
-        )
+    _write_table(base / "summary.csv", [param, *columns], rows)
+    for col, name in enumerate(columns, start=1):
+        _write_table(base / "plots" / f"{name}.csv", [param, name],
+                     [[row[0], row[col]] for row in rows])
     sweep_manifest = {
         "tool_version": __version__,
         "sweep_param": param,
-        "values": list(values),
-        "runs": [f"run-{i:03d}" for i in range(len(values))],
-        "run_digests": [m["report_digest"] for m in manifests],
+        "values": values,
+        "runs": [Path(run_dir).name for _, run_dir in jobs],
+        "run_digests": [manifest["report_digest"] for manifest, _ in results],
         "outputs": {"summary": "summary.csv"},
     }
     _write_manifest(base, sweep_manifest)
@@ -466,11 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return cmd_run(args.config, args.out, args.overrides, args.seed)
     if args.command == "sweep":
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError as exc:
-            print(f"validation error: bad sweep values: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        values = [v for v in args.values.split(",") if v.strip()]
         return cmd_sweep(args.config, args.param, values, args.out, args.seed)
     return cmd_verify(args.out_dir)
 

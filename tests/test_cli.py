@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -297,8 +299,44 @@ def test_sweep_over_masses(collision_config_file, tmp_path):
     second = [float(v) for v in summary[2].split(",")]
     assert second[1] < first[1]
     assert second[3] < first[3]
-    assert (out / "plots" / "trace_distance.csv").exists()
+    # each row is its own run's last collision_summary entries
+    for mass, row, run in zip([100.0, 400.0], (first, second), ("run-000", "run-001")):
+        rec = _records(out / run)[-1]
+        assert rec["record"] == "collision_summary"
+        assert row == [mass, rec["fidelity_deficits"][-1], rec["residual_norms"][-1],
+                       rec["trace_distances"][-1]]
+    _assert_plots_match_summary(out)
     assert cmd_verify(str(out)) == EXIT_OK
+
+
+def _records(run_dir: Path) -> list[dict]:
+    return [json.loads(line) for line in (run_dir / "report.jsonl").read_text().splitlines()]
+
+
+def _assert_plots_match_summary(out: Path) -> None:
+    """Each plots/<column>.csv is the parameter and that column of summary.csv."""
+    summary = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+    for col, name in enumerate(summary[0][1:], start=1):
+        plot = (out / "plots" / f"{name}.csv").read_text().splitlines()
+        assert plot == [f"{row[0]},{row[col]}" for row in summary]
+
+
+def test_measurement_sweep_tables(measurement_config_file, tmp_path):
+    out = tmp_path / "sweep"
+    assert cmd_sweep(
+        str(measurement_config_file), "seeds.trials", [400.0, 600.0], str(out)
+    ) == EXIT_OK
+    columns = ["coefficient_error", "overlap_weight", "absorbed_mass"]
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[0] == ",".join(["seeds.trials", *columns])
+    assert len(summary) == 3
+    for line, run in zip(summary[1:], ("run-000", "run-001")):
+        row = [float(v) for v in line.split(",")]
+        assert all(math.isfinite(v) for v in row)
+        rec = _records(out / run)[0]
+        assert rec["record"] == "measurement"
+        assert row == [rec["trials"], *(rec[name] for name in columns)]
+    _assert_plots_match_summary(out)
 
 
 def test_sweep_rejects_unknown_key(collision_config_file, tmp_path):
@@ -331,6 +369,49 @@ def test_sweep_with_worker_pool(measurement_config_file, tmp_path, monkeypatch):
     rec1 = json.loads((out / "run-001" / "report.jsonl").read_text().splitlines()[0])
     assert rec0["trials"] == 400
     assert rec1["trials"] == 600
+
+
+# Every pool worker of this sweep dies without raising, through os._exit.
+DYING_WORKERS = """
+import os, sys
+from framesim import cli
+parent, run_scenario = os.getpid(), cli.run_scenario
+cli.run_scenario = lambda cfg: run_scenario(cfg) if os.getpid() == parent else os._exit(1)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_dead_sweep_worker_exits_runtime(collision_config_file, tmp_path):
+    argv = ["sweep", str(collision_config_file), "--param", "center_of_mass.masses",
+            "--values", "100,400", "--out", str(tmp_path / "s")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), FRAMESIM_WORKERS="2")
+    # A session of its own, so that a hung sweep is killed with its workers.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", DYING_WORKERS, *argv], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the sweep hung after its pool workers died")
+    assert proc.returncode == EXIT_RUNTIME
+    assert err.startswith("simulation error: BrokenProcessPool: ")
+    assert err.count("\n") == 1
+    with pytest.raises(ProcessLookupError):  # no worker outlives the sweep
+        os.killpg(proc.pid, 0)
+
+
+def test_cli_import_loads_no_process_pool():
+    # The pool is imported only by a sweep that uses one, so set-up stays lean.
+    code = ("import sys, framesim.cli; print([m for m in sys.modules if "
+            "m.startswith(('multiprocessing', 'concurrent.futures'))])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_python_m_framesim_version():
