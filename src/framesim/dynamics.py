@@ -23,6 +23,18 @@ state gets its own closing W/2: it is a whole Strang step, and the running
 product does not depend on where the checkpoints fall.  After the loop,
 evolve_exact records <H> and <H_coupling> of every stored checkpoint.
 
+A step runs level row by level row between two preallocated buffers.  The
+kinetic factor is diagonal in the level index, so row i of a step is row i
+of the position-local factor (d multiply-adds on level slabs) followed by
+the kinetic phase between in-place FFTs of that one slab, and it writes
+only slab i.  When a level slab holds at least THREADED_SLAB amplitudes the
+rows run on min(level dimension, usable CPUs) threads of a pool that lives
+for one call, with one join per step; smaller states, and states without a
+level factor, run the same row function inline.  Each amplitude goes
+through the same numpy calls in the same order either way (the 1-D
+transforms last axis first, as fftn does), so the result is bit-identical
+whatever the number of threads.
+
 The heavy subsystem machinery lives here as well: evolve_factorized
 propagates the center-of-mass packet freely while the relative state moves
 under the coupling frozen at a reference anchor position, and
@@ -34,6 +46,7 @@ anchor-coordinate dependence.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -43,6 +56,8 @@ from .errors import ValidationError
 from .hilbert import Factor, Space, StateVector, inner_product, tensor_product
 
 HERMITICITY_TOL = 1e-12
+# Amplitudes per level slab from which the rows of a step run on threads.
+THREADED_SLAB = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,32 +234,61 @@ class _GridHamiltonian:
             for p in (half, half**2)
         )
 
-    def levels(self, matrix, amps: np.ndarray) -> np.ndarray:
+    def levels(self, matrix, amps: np.ndarray, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
         """sum_j matrix[i, j] amps[..., j, ...] along the level axis.
 
         Entries are numbers (K, H_int) or arrays over positions that broadcast
         against one level slab (the Strang factors): d^2 multiply-adds on
-        slabs, not a matrix product per position.
+        slabs, not a matrix product per position.  `matrix` may be some rows
+        of the operator, e.g. matrix[i:i + 1], with `out` holding as many
+        level slabs; `scratch` is one slab of work space.
         """
         head = (slice(None),) * self.level_axis
         d = amps.shape[self.level_axis]
-        out = np.empty_like(amps)
-        for i in range(d):
+        if out is None:
+            out = np.empty_like(amps)
+        if scratch is None and d > 1:
+            scratch = np.empty_like(amps[head + (0, ...)])
+        for i in range(len(matrix)):
             row = out[head + (i, ...)]
             np.multiply(matrix[i, 0], amps[head + (0, ...)], out=row)
             for j in range(1, d):
-                row += matrix[i, j] * amps[head + (j, ...)]
+                np.multiply(matrix[i, j], amps[head + (j, ...)], out=scratch)
+                row += scratch
         return out
 
-    def local(self, factor, amps: np.ndarray) -> np.ndarray:
-        """Apply a position-local factor from `propagators`."""
-        return factor * amps if self.level_axis is None else self.levels(factor, amps)
+    def spectral(self, multiplier: np.ndarray, amps: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Multiply by a function of k (T or its phase) over the kinetic axes.
 
-    def spectral(self, multiplier: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """Multiply by a function of k (T or its phase) over the kinetic axes."""
-        out = np.fft.fftn(amps, axes=self.kinetic_axes)
+        The 1-D transforms run last kinetic axis first, as numpy's fftn and
+        ifftn do, and in place in `out` (which may be `amps`).
+        """
+        for axis in reversed(self.kinetic_axes):
+            out = np.fft.fft(amps, axis=axis, out=out)
+            amps = out
         out *= multiplier
-        return np.fft.ifftn(out, axes=self.kinetic_axes)
+        for axis in reversed(self.kinetic_axes):
+            np.fft.ifft(out, axis=axis, out=out)
+        return out
+
+    def step_row(self, factor, phase, amps: np.ndarray, out: np.ndarray, i: int,
+                 scratch: np.ndarray | None) -> None:
+        """Level row i of one split step, into out: that row of the
+        position-local factor, then the kinetic phase on it in place.
+
+        The kinetic factor is diagonal in the level index, so row i reads
+        every level slab of amps but writes only slab i of out, and rows can
+        run concurrently.  Without a level factor the one row is the state.
+        """
+        if self.level_axis is None:
+            target = np.multiply(factor, amps, out=out)
+        else:
+            target = out[(slice(None),) * self.level_axis + (slice(i, i + 1),)]
+            self.levels(factor[i:i + 1], amps, target, scratch)
+        if phase is not None:
+            self.spectral(phase, target, target)
 
     def coupling_energy(self, amps: np.ndarray) -> float:
         """<g(x) K>, or 0.0 without a coupling."""
@@ -312,24 +356,62 @@ def evolve_exact(
         raise ValidationError("checkpoint_every must be >= 1")
     op = _GridHamiltonian(psi0.space, h)
     op.check_time_step(dt)
-    # A zero-step call only takes the diagnostics, so it builds no factors.
-    phase, half, full = op.propagators(dt) if steps else (None, None, None)
-    amps = psi0.amplitudes
     trajectory: list[tuple[float, StateVector]] = [(0.0, psi0)]
     norm_drift = abs(psi0.norm - 1.0)
-    # The first step opens with W/2; every later one opens with W, its own
-    # W/2 merged with the closing W/2 of the step before.
-    opening = half
-    for n in range(1, steps + 1):
-        amps = op.local(opening, amps)
-        if phase is not None:
-            amps = op.spectral(phase, amps)
-        opening = full
-        if n % checkpoint_every == 0 or n == steps:
-            state = StateVector(psi0.space, op.local(half, amps))
-            trajectory.append((n * dt, state))
-            norm_drift = max(norm_drift, abs(state.norm - 1.0))
-    del amps, opening, half, full, phase
+    # A zero-step call only takes the diagnostics, so it builds no factors
+    # and allocates no buffers.
+    if steps:
+        phase, half, full = op.propagators(dt)
+        dims = psi0.space.dims
+        rows = 1 if op.level_axis is None else dims[op.level_axis]
+        workers = 1
+        if psi0.amplitudes.size // rows >= THREADED_SLAB:
+            # The CPUs this process may run on; all of them where the
+            # platform has no affinity call.
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            workers = min(rows, cpus)
+        # A worker takes every workers-th level row, with one slab of scratch.
+        scratch = [None] * workers
+        if rows > 1:
+            slab = dims[:op.level_axis] + dims[op.level_axis + 1:]
+            scratch = [np.empty(slab, dtype=np.complex128) for _ in range(workers)]
+        pool = None
+
+        def apply(factor, kinetic, src: np.ndarray, dst: np.ndarray) -> None:
+            """Every level row of one step, or of a closing W/2, into dst."""
+            def rows_of(w: int) -> None:
+                for i in range(w, rows, workers):
+                    op.step_row(factor, kinetic, src, dst, i, scratch[w])
+
+            list((map if pool is None else pool.map)(rows_of, range(workers)))
+
+        try:
+            if workers > 1:
+                from concurrent.futures import ThreadPoolExecutor
+                pool = ThreadPoolExecutor(workers)
+            # Step n reads amps and writes buffers[n % 2]; the other is then free.
+            buffers = [np.empty_like(psi0.amplitudes), np.empty_like(psi0.amplitudes)]
+            amps = psi0.amplitudes
+            # The first step opens with W/2; every later one opens with W, its
+            # own W/2 merged with the closing W/2 of the step before.
+            opening = half
+            for n in range(1, steps + 1):
+                apply(opening, phase, amps, buffers[n % 2])
+                amps, opening = buffers[n % 2], full
+                if n % checkpoint_every == 0 or n == steps:
+                    # The stored state is closed into the free buffer and keeps
+                    # it; a later step gets a new one.
+                    free = (n + 1) % 2
+                    apply(half, None, amps, buffers[free])
+                    state = StateVector(psi0.space, buffers[free])
+                    buffers[free] = np.empty_like(amps) if n < steps else None
+                    trajectory.append((n * dt, state))
+                    norm_drift = max(norm_drift, abs(state.norm - 1.0))
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        del amps, buffers, scratch, opening, half, full, phase
     couplings = [op.coupling_energy(s.amplitudes) for _, s in trajectory]
     energies = [op.uncoupled_energy(s.amplitudes) + c
                 for (_, s), c in zip(trajectory, couplings)]

@@ -63,9 +63,18 @@ class DensityMatrix:
     def hermiticity_error(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in descending order."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
+    def eigenvalues(self, basis: np.ndarray | None = None) -> np.ndarray:
+        """Real eigenvalues in descending order.
+
+        `basis` may give orthonormal columns whose span holds the matrix's
+        range, such as the Schmidt states a mixture is built from: the
+        eigenvalues are then those of the small compression basis^H M basis,
+        padded with zeros.
+        """
+        if basis is None:
+            return np.linalg.eigvalsh(self.matrix)[::-1]
+        small = np.linalg.eigvalsh(basis.conj().T @ self.matrix @ basis)
+        return np.sort(np.concatenate([small, np.zeros(self.dim - small.size)]))[::-1]
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -152,8 +161,9 @@ def transform_to_intrinsic(
     return schmidt_decompose(psi1, cut, trunc_tol=trunc_tol)
 
 
-def mixed_density_matrix(result: SchmidtResult, keep: Sequence[str]) -> DensityMatrix:
-    """rho = sum_j p_j |u_j><u_j| over the Schmidt states u_j of the kept block.
+def schmidt_basis(result: SchmidtResult, keep: Sequence[str]) -> np.ndarray:
+    """The Schmidt states of the kept block as orthonormal columns, in the
+    discrete convention (amplitudes times sqrt of the volume element).
 
     keep must be exactly one block of the decomposition's cut.
     """
@@ -167,11 +177,19 @@ def mixed_density_matrix(result: SchmidtResult, keep: Sequence[str]) -> DensityM
             f"keep {sorted(keep)} is not a block of the cut "
             f"{sorted(result.cut.left)} | {sorted(result.cut.right)}"
         )
-    probs = result.probabilities()
-    space = states[0].space
     vectors = np.stack([u.amplitudes.ravel() for u in states], axis=1)
-    vectors = vectors * math.sqrt(space.volume_element)
-    return DensityMatrix(space.labels, (vectors * probs) @ vectors.conj().T)
+    return vectors * math.sqrt(states[0].space.volume_element)
+
+
+def mixed_density_matrix(result: SchmidtResult, keep: Sequence[str]) -> DensityMatrix:
+    """rho = sum_j p_j |u_j><u_j| over the Schmidt states u_j of the kept block.
+
+    keep must be exactly one block of the decomposition's cut.
+    """
+    vectors = schmidt_basis(result, keep)
+    left = frozenset(keep) == result.cut.left
+    space = (result.left_states if left else result.right_states)[0].space
+    return DensityMatrix(space.labels, (vectors * result.probabilities()) @ vectors.conj().T)
 
 
 def reduced_density_matrix(psi: StateVector, keep: Sequence[str]) -> DensityMatrix:

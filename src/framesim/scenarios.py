@@ -49,6 +49,7 @@ from .frames import (
     lift_to_auxiliary,
     mixed_density_matrix,
     reduced_density_matrix,
+    schmidt_basis,
     trace_distance,
     transform_to_intrinsic,
 )
@@ -626,25 +627,31 @@ def _collision_point(
     exact = evolve_exact(psi0, h, cfg.dt, steps, cfg.checkpoint_every)
     worst_initial, worst_final = _check_three_periods(cfg, exact)
     energy_drift = _energy_drift(exact.energies)
+    # Only the final state is read from here on; the other checkpoint states
+    # are released before the factorized run and the density matrices.
+    final, norm_drift = exact.final, exact.norm_drift
+    del exact
 
     phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
     fact = evolve_factorized(
         phi_cm, tensor_product([phi_int, psi_s]), h, cfg.dt, steps,
         cfg.checkpoint_every, freeze_at=cm_params.r0,
     )
-    deficit = fidelity_deficit(exact.final, fact.final)
+    deficit = fidelity_deficit(final, fact.final)
 
-    extraction = extract_relative_state(exact.final, fact.cm.final)
+    extraction = extract_relative_state(final, fact.cm.final)
     branches = transform_to_intrinsic(
         extraction.state, Bipartition([LABEL_S], [LABEL_INT])
     )
     rho_mixed = mixed_density_matrix(branches, [LABEL_S])
     rho_psi1 = reduced_density_matrix(extraction.state, [LABEL_S])
     identity_distance = trace_distance(rho_mixed, rho_psi1)
-    rho_full = reduced_density_matrix(exact.final, [LABEL_S])
+    rho_full = reduced_density_matrix(final, [LABEL_S])
     distance = trace_distance(rho_mixed, rho_full)
 
-    eigs = rho_mixed.eigenvalues()
+    # rho_mixed lives on the span of the kept Schmidt states, so its spectrum
+    # is that of a rank x rank compression, padded with zeros.
+    eigs = rho_mixed.eigenvalues(schmidt_basis(branches, [LABEL_S]))
 
     return CollisionPoint(
         mass=mass,
@@ -662,7 +669,7 @@ def _collision_point(
         rho_hermiticity_error=rho_mixed.hermiticity_error,
         interaction_initial=float(worst_initial),
         interaction_final=float(worst_final),
-        norm_drift=float(exact.norm_drift),
+        norm_drift=float(norm_drift),
         energy_drift=float(energy_drift),
     )
 

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +196,144 @@ def test_checkpoints_do_not_change_merged_propagation():
     rest = fs.evolve_exact(mid, h, dt, steps - 200, checkpoint_every=steps)
     assert fs.fidelity_deficit(rest.final, once.final) <= 1e-12
     assert fs.fidelity_deficit(mid, every.trajectory[200][1]) <= 1e-12
+
+
+def threaded_system(levels: int = 2):
+    """Level slabs of 256 x 128 = 2**15 amplitudes, the size from which a
+    step's rows run on threads, with a coordinate anchor and two kinetic axes."""
+    rng = np.random.default_rng(21)
+    space = Space((
+        Factor.coordinate("A_cm", fs.Grid(256, -2.0, 2.0)),
+        Factor.level("q", levels),
+        Factor.coordinate("S", fs.Grid(128, -8.0, 8.0)),
+    ))
+    h = fs.HamiltonianSpec(
+        kinetic={"A_cm": 50.0, "S": 1.3},
+        internal=("q", random_hermitian(rng, levels)),
+        interaction=fs.Interaction(
+            subject="S",
+            profile=fs.gaussian_profile(0.9, 1.1),
+            level="q",
+            coupling=random_hermitian(rng, levels),
+            anchor="A_cm",
+        ),
+    )
+    psi = random_state(space, 22)
+    assert psi.amplitudes.size // levels == fs.dynamics.THREADED_SLAB
+    return psi, h
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The worker count of every ThreadPoolExecutor created while it is active."""
+    sizes = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    return sizes
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_threaded_rows_equal_inline_rows(monkeypatch, thread_pools, levels):
+    psi, h = threaded_system(levels)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # workers interleave often; each writes its own rows
+    try:
+        for cpus in (1, 2, 64):
+            usable_cpus(monkeypatch, cpus)
+            runs[cpus] = fs.evolve_exact(psi, h, 1e-3, 6, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert thread_pools == [2, levels]  # none inline, never more than levels or CPUs
+    inline = runs[1]
+    assert len(inline.trajectory) == 4
+    for threaded in (runs[2], runs[64]):
+        for (t1, a), (t2, b) in zip(inline.trajectory, threaded.trajectory, strict=True):
+            assert t1 == t2
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(inline.energies, threaded.energies)
+        assert np.array_equal(inline.couplings, threaded.couplings)
+
+
+def test_small_slabs_run_inline(monkeypatch, thread_pools):
+    usable_cpus(monkeypatch, 2)
+    psi, h = criterion_2_system()
+    fs.evolve_exact(psi, h, 1e-3, 3, 3)
+    assert thread_pools == []
+
+
+def test_no_thread_outlives_a_propagation(monkeypatch):
+    psi, h = threaded_system()
+    usable_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    helpers, ifft = set(), np.fft.ifft
+
+    def watched(*args, fail=False, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.add(threading.current_thread())
+            if fail:
+                raise RuntimeError("ifft failed in a helper row")
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", watched)
+    fs.evolve_exact(psi, h, 1e-3, 2, 2)
+    assert len(helpers) == 2
+    assert not any(t.is_alive() for t in helpers)
+    assert threading.active_count() == before
+
+    helpers.clear()
+    monkeypatch.setattr(np.fft, "ifft",
+                        lambda *args, **kwargs: watched(*args, fail=True, **kwargs))
+    with pytest.raises(RuntimeError, match="helper row"):
+        fs.evolve_exact(psi, h, 1e-3, 2, 2)
+    assert helpers and not any(t.is_alive() for t in helpers)
+    assert threading.active_count() == before
+
+
+FORKED_PROPAGATION = """
+import os
+from concurrent.futures import ProcessPoolExecutor
+import numpy as np
+import framesim as fs
+from test_dynamics import threaded_system
+
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def final():
+    psi, h = threaded_system()
+    return fs.evolve_exact(psi, h, 1e-3, 2, 2).final.amplitudes
+
+here = final()
+with ProcessPoolExecutor(1) as pool:
+    there = pool.submit(final).result()
+print(np.array_equal(here, there))
+"""
+
+
+def test_process_pool_after_threaded_propagation():
+    # A session of its own, so that a hung child is killed with its workers.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", FORKED_PROPAGATION], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a pool worker hung after a threaded propagation")
+    assert proc.returncode == 0, err
+    assert out == "True\n"
 
 
 def test_cfl_violation_is_rejected():

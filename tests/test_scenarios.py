@@ -106,8 +106,33 @@ def test_zero_coupling_contracts(zero_coupling_report):
 
 
 @pytest.fixture(scope="module")
-def fast_collision_report():
-    return run_collision(ScenarioConfig.from_dict(fast_collision_dict()))
+def fast_collision_run():
+    """The fast collision's report, and the (rho, basis) pairs whose
+    eigenvalues it took."""
+    spectra, eigenvalues = [], fs.DensityMatrix.eigenvalues
+
+    def recorded(rho, basis=None):
+        spectra.append((rho, basis))
+        return eigenvalues(rho, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fs.DensityMatrix, "eigenvalues", recorded)
+        report = run_collision(ScenarioConfig.from_dict(fast_collision_dict()))
+    return report, spectra
+
+
+@pytest.fixture(scope="module")
+def fast_collision_report(fast_collision_run):
+    return fast_collision_run[0]
+
+
+def test_rho_eigenvalues_from_the_compression_match_dense(fast_collision_run):
+    report, spectra = fast_collision_run
+    ((rho, basis),) = spectra
+    assert basis.shape == (rho.dim, 2)
+    compressed = rho.eigenvalues(basis)
+    assert report.points[0].rho_eigenvalues == compressed.tolist()
+    assert np.max(np.abs(compressed - rho.eigenvalues())) <= 1e-14
 
 
 def test_collision_point_invariants(fast_collision_report):
