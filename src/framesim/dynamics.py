@@ -20,8 +20,10 @@ half-potential of the next are merged into one full-step factor (Feit,
 Fleck & Steiger, J. Comput. Phys. 47 (1982) 412), so `steps` steps apply
 W/2 T W T ... W T and one position-local factor per step.  Each stored
 state gets its own closing W/2: it is a whole Strang step, and the running
-product does not depend on where the checkpoints fall.  After the loop,
-evolve_exact records <H> and <H_coupling> of every stored checkpoint.
+product does not depend on where the checkpoints fall.  <H> and
+<H_coupling> of the stored checkpoints are the 1 x 1 case of the
+operator's matrix-element kernels, taken when first read; the same kernels
+give the L x L matrices <psi_l|H|psi_m> of a list of states.
 
 A step runs level row by level row between two preallocated buffers.  The
 kinetic factor is diagonal in the level index, so row i of a step is row i
@@ -48,6 +50,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -58,6 +61,8 @@ from .hilbert import Factor, Space, StateVector, inner_product, tensor_product
 HERMITICITY_TOL = 1e-12
 # Amplitudes per level slab from which the rows of a step run on threads.
 THREADED_SLAB = 1 << 15
+# Positions per eigh block when the Strang factors are built.
+FACTOR_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +216,12 @@ class _GridHamiltonian:
         """exp(-i T dt / hbar) (None without kinetic terms), then the
         position-local factors exp(-i W dt / 2 hbar) and exp(-i W dt / hbar).
 
-        With a level factor, W is assembled per position only to feed eigh,
-        and each factor is returned level indices first, every entry a
-        contiguous array over positions, for `levels`.
+        With a level factor, each factor is returned level indices first,
+        every entry a contiguous array over positions, for `levels`.  W is
+        assembled per position only to feed eigh, FACTOR_CHUNK positions at
+        a time, and each chunk's factors are written straight into the
+        outputs; eigh works matrix by matrix, so the chunking does not change
+        a bit.
         """
         phase = None
         if self.kinetic_axes:
@@ -221,18 +229,28 @@ class _GridHamiltonian:
         if self.level_axis is None:
             half = np.exp(-0.5j * dt * self.potential / self.hbar)
             return phase, half, half**2
-        block = self.potential[..., None, None] * np.eye(self.space.dims[self.level_axis])
-        if self.profile is not None:
-            block = block + self.profile[..., None, None] * self.coupling
-        if self.internal is not None:
-            block = block + self.internal
-        evals, evecs = np.linalg.eigh(np.squeeze(block, axis=self.level_axis))
-        del block
-        half = np.exp(-0.5j * dt * evals / self.hbar)
-        return phase, *(
-            np.einsum("...ij,...j,...kj->ik...", evecs, p, evecs.conj(), order="C")
-            for p in (half, half**2)
-        )
+        d = self.space.dims[self.level_axis]
+        parts = [np.squeeze(p, axis=self.level_axis)
+                 for p in (self.potential, self.profile) if p is not None]
+        shape = np.broadcast_shapes(*(p.shape for p in parts))
+        # Flat iterators over the broadcast parts: a chunk is read without
+        # materialising the whole position grid.
+        potential, *profile = (np.broadcast_to(p, shape).flat for p in parts)
+        half, full = (np.empty((d, d, *shape), dtype=np.complex128) for _ in range(2))
+        outputs = half.reshape(d, d, -1), full.reshape(d, d, -1)
+        for start in range(0, math.prod(shape), FACTOR_CHUNK):
+            chunk = slice(start, start + FACTOR_CHUNK)
+            block = potential[chunk][:, None, None] * np.eye(d)
+            if profile:
+                block = block + profile[0][chunk][:, None, None] * self.coupling
+            if self.internal is not None:
+                block = block + self.internal
+            evals, evecs = np.linalg.eigh(block)
+            p = np.exp(-0.5j * dt * evals / self.hbar)
+            for out, q in zip(outputs, (p, p**2)):
+                np.einsum("...ij,...j,...kj->ik...", evecs, q, evecs.conj(),
+                          out=out[:, :, chunk])
+        return phase, half, full
 
     def levels(self, matrix, amps: np.ndarray, out: np.ndarray | None = None,
                scratch: np.ndarray | None = None) -> np.ndarray:
@@ -290,24 +308,36 @@ class _GridHamiltonian:
         if phase is not None:
             self.spectral(phase, target, target)
 
-    def coupling_energy(self, amps: np.ndarray) -> float:
-        """<g(x) K>, or 0.0 without a coupling."""
+    def coupling_elements(self, states: list[np.ndarray]) -> np.ndarray:
+        """<psi_l| g(x) K |psi_m> for every pair of the states, an L x L
+        matrix; zeros without a coupling."""
         if self.profile is None:
-            return 0.0
-        k_psi = self.levels(self.coupling, amps)
-        k_psi *= self.profile
-        return float(np.vdot(amps, k_psi).real) * self.space.volume_element
+            return np.zeros((len(states), len(states)), dtype=np.complex128)
+        kets = []
+        for psi in states:
+            k_psi = self.levels(self.coupling, psi)
+            k_psi *= self.profile
+            kets.append(k_psi)
+        return _overlaps(states, kets) * self.space.volume_element
 
-    def uncoupled_energy(self, amps: np.ndarray) -> float:
-        """<T + V + H_int>, with <T> = sum_k T(k) |psi(k)|^2 / N from one FFT."""
-        total = np.sum(self.potential * np.abs(amps) ** 2)
+    def uncoupled_elements(self, states: list[np.ndarray]) -> np.ndarray:
+        """<psi_l| T + V + H_int |psi_m> for every pair of the states, an
+        L x L matrix; the T part is sum_k T(k) conj(psi_l(k)) psi_m(k) / N
+        from one FFT per state."""
+        total = _overlaps(states, [self.potential * psi for psi in states])
         if self.internal is not None:
-            total += np.vdot(amps, self.levels(self.internal, amps)).real
+            total += _overlaps(states, [self.levels(self.internal, psi) for psi in states])
         if self.kinetic_axes:
-            psi_k = np.fft.fftn(amps, axes=self.kinetic_axes)
+            spectra = [np.fft.fftn(psi, axes=self.kinetic_axes) for psi in states]
+            t = self.kinetic()
             n = math.prod(self.space.dims[axis] for axis in self.kinetic_axes)
-            total += np.sum(self.kinetic() * np.abs(psi_k) ** 2) / n
-        return float(total * self.space.volume_element)
+            total += _overlaps(spectra, [t * psi_k for psi_k in spectra]) / n
+        return total * self.space.volume_element
+
+
+def _overlaps(bras: list[np.ndarray], kets: list[np.ndarray]) -> np.ndarray:
+    """sum conj(bra_l) ket_m over all entries, for every pair: L x M."""
+    return np.array([[np.vdot(bra, ket) for ket in kets] for bra in bras])
 
 
 def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:
@@ -317,14 +347,24 @@ def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:
 
 @dataclass(eq=False)
 class PropagationResult:
-    """Checkpointed trajectory of one propagation run, with <H> and
-    <H_coupling> of each stored checkpoint (aligned with `trajectory`)."""
+    """Checkpointed trajectory of one propagation run.  <H> and
+    <H_coupling> of each stored checkpoint (aligned with `trajectory`) are
+    taken from the operator that propagated, on first access."""
 
     trajectory: list[tuple[float, StateVector]]
     final: StateVector
     norm_drift: float
-    energies: list[float]
-    couplings: list[float]
+    operator: _GridHamiltonian = field(repr=False)
+
+    @cached_property
+    def couplings(self) -> list[float]:
+        return [float(self.operator.coupling_elements([s.amplitudes])[0, 0].real)
+                for _, s in self.trajectory]
+
+    @cached_property
+    def energies(self) -> list[float]:
+        return [float(self.operator.uncoupled_elements([s.amplitudes])[0, 0].real) + c
+                for (_, s), c in zip(self.trajectory, self.couplings)]
 
 
 @dataclass(eq=False)
@@ -347,8 +387,8 @@ def evolve_exact(
     Checkpoints (including t=0 and the final state) are stored every
     `checkpoint_every` steps; each is a whole Strang step, closed by its own
     half-potential.  Norm drift is the largest deviation of any
-    checkpoint norm from 1.  <H> and <H_coupling> are taken from the same
-    operator that propagates, after the loop has released its arrays.
+    checkpoint norm from 1.  <H> and <H_coupling> of each checkpoint are
+    taken from the same operator that propagates, when first read.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
@@ -412,10 +452,7 @@ def evolve_exact(
             if pool is not None:
                 pool.shutdown()
         del amps, buffers, scratch, opening, half, full, phase
-    couplings = [op.coupling_energy(s.amplitudes) for _, s in trajectory]
-    energies = [op.uncoupled_energy(s.amplitudes) + c
-                for (_, s), c in zip(trajectory, couplings)]
-    return PropagationResult(trajectory, trajectory[-1][1], norm_drift, energies, couplings)
+    return PropagationResult(trajectory, trajectory[-1][1], norm_drift, op)
 
 
 def evolve_factorized(
@@ -487,15 +524,31 @@ def fidelity_deficit(a: StateVector, b: StateVector) -> float:
     return 1.0 - abs(inner_product(a, b))
 
 
+def matrix_elements(
+    states: list[StateVector], h: HamiltonianSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<psi_l|psi_m>, <psi_l|H|psi_m> and <psi_l|H_coupling|psi_m> for every
+    pair of states on one space, each an L x L matrix."""
+    op = _GridHamiltonian(states[0].space, h)
+    amps = [s.amplitudes for s in states]
+    gram = _overlaps(amps, amps)
+    # The diagonal is summed from |psi|^2, as StateVector.norm sums it.
+    np.fill_diagonal(gram, [np.sum(np.abs(a) ** 2) for a in amps])
+    gram *= op.space.volume_element
+    coupling = op.coupling_elements(amps)
+    return gram, op.uncoupled_elements(amps) + coupling, coupling
+
+
 def total_energy(state: StateVector, h: HamiltonianSpec) -> float:
     """<H> of one state."""
-    op = _GridHamiltonian(state.space, h)
-    return op.uncoupled_energy(state.amplitudes) + op.coupling_energy(state.amplitudes)
+    _, energy, _ = matrix_elements([state], h)
+    return float(energy[0, 0].real)
 
 
 def interaction_energy(state: StateVector, h: HamiltonianSpec) -> float:
     """Expectation of the coupling term alone."""
-    return _GridHamiltonian(state.space, h).coupling_energy(state.amplitudes)
+    op = _GridHamiltonian(state.space, h)
+    return float(op.coupling_elements([state.amplitudes])[0, 0].real)
 
 
 def gaussian_profile(strength: float, width: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -41,6 +41,7 @@ from .dynamics import (
     fidelity_deficit,
     gaussian_profile,
     interaction_energy,
+    matrix_elements,
     total_energy,  # unused here; perfbench/spans.py wraps it by this name
 )
 from .errors import PropagationError, ValidationError
@@ -82,6 +83,7 @@ LABEL_B = "b"
 
 INTERACTION_TOL = 1e-8
 SEPARATION_TOL = 1e-6
+GRAM_TOL = 1e-12
 COEFF_NORM_TOL = 1e-10
 
 
@@ -293,6 +295,13 @@ class ScenarioConfig:
         # Packets come first: GaussianParams rejects hbar <= 0 and
         # mass_unit <= 0 before _cm_setup divides by them.
         packets = _initial_packets(self)
+        if self.scenario == "position_measurement":
+            overlap = abs(inner_product(*packets[LABEL_A]))
+            if overlap > SEPARATION_TOL:
+                raise ValidationError(
+                    "measurement.a.packets: absorbed-particle components are not "
+                    f"separated: overlap {overlap:.3e} exceeds {SEPARATION_TOL:g}"
+                )
         with _at("internal.state"):
             level_state(LABEL_INT, self.internal.state)
         factors = (Factor.level(LABEL_INT, self.internal.dim),
@@ -858,22 +867,38 @@ def _measurement_hamiltonians(
     return h_compound, h_b, replace(h_compound, kinetic={**h_compound.kinetic, **h_b.kinetic})
 
 
-def _checkpoint(weights, compound_runs, b_runs, k: int) -> StateVector:
-    """Checkpoint k of sum_l w_l compound_l(t) (x) b_l(t), contracted over l
-    in one product so that the result is the only full-size array."""
-    compounds = np.stack([run.trajectory[k][1].amplitudes for run in compound_runs])
-    probes = np.stack(
-        [w * run.trajectory[k][1].amplitudes for w, run in zip(weights, b_runs)]
-    )
-    space = Space(compound_runs[0].final.space.factors + b_runs[0].final.space.factors)
-    return StateVector(space, np.tensordot(compounds, probes, axes=(0, 0)))
+def _assemble(weights, compounds: list[StateVector], probes: list[StateVector]) -> StateVector:
+    """sum_l w_l compound_l (x) b_l, contracted over l in one product so
+    that the result is the only full-size array."""
+    stacked = np.stack([c.amplitudes for c in compounds])
+    weighted = np.stack([w * b.amplitudes for w, b in zip(weights, probes)])
+    space = Space(compounds[0].space.factors + probes[0].space.factors)
+    return StateVector(space, np.tensordot(stacked, weighted, axes=(0, 0)))
 
 
-def _diagnose(psi: StateVector, h: HamiltonianSpec, dt: float) -> tuple[float, float, float]:
-    """Norm deviation, <H> and <H_coupling> of one state, from a zero-step
-    propagation under h."""
-    result = evolve_exact(psi, h, dt, 0)
-    return result.norm_drift, result.energies[0], result.couplings[0]
+def _gram_diagnostics(
+    weights, compound_runs, b_runs, h_compound: HamiltonianSpec, h_b: HamiltonianSpec
+) -> list[tuple[float, float, float]]:
+    """Norm, <H> and <H_coupling> of sum_l w_l C_l(t) (x) B_l(t) at every
+    checkpoint, from L x L matrix elements of the compound and b checkpoints.
+
+    With H = H_c (x) 1 + 1 (x) T_b, overlaps G and matrix elements E of H_c
+    and T_b, K those of the coupling, and * the entrywise product:
+    norm^2 = w^H (G_c * G_b) w, <H> = w^H (E_c * G_b + G_c * E_b) w and
+    <H_coupling> = w^H (K_c * G_b) w.
+    """
+    def sandwich(matrix: np.ndarray) -> float:
+        return float((weights.conj() @ matrix @ weights).real)
+
+    rows = []
+    for k in range(len(b_runs[0].trajectory)):
+        g_c, e_c, k_c = matrix_elements(
+            [run.trajectory[k][1] for run in compound_runs], h_compound
+        )
+        g_b, e_b, _ = matrix_elements([run.trajectory[k][1] for run in b_runs], h_b)
+        rows.append((math.sqrt(sandwich(g_c * g_b)), sandwich(e_c * g_b + g_c * e_b),
+                     sandwich(k_c * g_b)))
+    return rows
 
 
 def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
@@ -891,9 +916,12 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     acts on b as the free step or the identity, so the step is the compound
     step times the b step.  The state at each checkpoint is therefore
     exactly s * sum_l c_l compound_l(t) (x) b_l(t), with s the t = 0
-    normalization; only that sum is assembled, one checkpoint at a time,
-    and its norm, <H> and <H_coupling> come from the same grid operator a
-    full propagation would use.
+    normalization.  Its norm, <H> and <H_coupling> at every checkpoint are
+    sums over L x L matrix elements of the compound and b checkpoints
+    (_gram_diagnostics).  Only the final sum is assembled; its own norm,
+    <H> and <H_coupling>, from the grid operator a full propagation would
+    use, must match the Gram values, and it is the state the report is
+    extracted from.
     """
     if cfg.scenario != "position_measurement":
         raise ValidationError(
@@ -906,11 +934,6 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     a_states, b_states = packets[LABEL_A], packets[LABEL_B]
     a_overlap = abs(inner_product(a_states[0], a_states[1]))
     b_overlap = abs(inner_product(b_states[0], b_states[1]))
-    if a_overlap > SEPARATION_TOL:
-        raise PropagationError(
-            f"absorbed-particle components are not separated: overlap "
-            f"{a_overlap:.3e} exceeds {SEPARATION_TOL:g}"
-        )
 
     coeffs = m.coefficients
     pair_norm = superpose(
@@ -929,12 +952,10 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     ]
     b_runs = [evolve_exact(b, h_b, cfg.dt, steps, cfg.checkpoint_every) for b in b_states]
 
-    n_checkpoints = len(b_runs[0].trajectory)
-    norm_drifts, energies, couplings = zip(*(
-        _diagnose(_checkpoint(weights, compound_runs, b_runs, k), h, cfg.dt)
-        for k in range(n_checkpoints)
-    ))
-    norm_drift = max(norm_drifts)
+    norms, energies, couplings = zip(
+        *_gram_diagnostics(weights, compound_runs, b_runs, h_compound, h_b)
+    )
+    norm_drift = max(abs(n - 1.0) for n in norms)
     energy_drift = _energy_drift(energies)
     # The coupling to the absorbed compound stays on; the contract concerns
     # the outgoing particle b, which has no coupling terms at all.
@@ -942,11 +963,25 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     interaction_initial = abs(couplings[0])
     interaction_final = abs(couplings[-1])
 
+    # The final state is assembled once; a zero-step propagation under the
+    # full H checks the Gram identities on the state the report comes from.
+    check = evolve_exact(
+        _assemble(weights, [run.final for run in compound_runs],
+                  [run.final for run in b_runs]),
+        h, cfg.dt, 0,
+    )
+    for what, full, gram in (("norm", check.final.norm, norms[-1]),
+                             ("<H>", check.energies[0], energies[-1]),
+                             ("<H_coupling>", check.couplings[0], couplings[-1])):
+        if abs(full - gram) > GRAM_TOL * max(1.0, abs(full)):
+            raise PropagationError(
+                f"final {what} of the assembled state ({full!r}) differs from its "
+                f"Gram value ({gram!r}) by more than {GRAM_TOL:g} relative"
+            )
+
     h_cm = HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=cfg.hbar)
     phi_free = evolve_exact(phi_cm, h_cm, cfg.dt, steps, max(steps, 1)).final
-    extraction = extract_relative_state(
-        _checkpoint(weights, compound_runs, b_runs, n_checkpoints - 1), phi_free
-    )
+    extraction = extract_relative_state(check.final, phi_free)
     psi1 = extraction.state
 
     cut = Bipartition([LABEL_INT, LABEL_A], [LABEL_B])

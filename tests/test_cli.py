@@ -132,6 +132,9 @@ BAD_MEASUREMENT_OVERRIDES = [
     ("measurement.a.trap.width=0", EXIT_VALIDATION),
     ("measurement.a.trap.width=-1", EXIT_VALIDATION),
     ('coupling.matrix={"real":[[0,1],[0,0]]}', EXIT_VALIDATION),  # not Hermitian
+    # both absorbed-particle packets at the same place
+    ('measurement.a.packets=[{"r0":0.8,"p0":0,"sigma":0.62},{"r0":0.8,"p0":0,"sigma":0.62}]',
+     EXIT_VALIDATION),
 ]
 
 

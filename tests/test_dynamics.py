@@ -139,6 +139,8 @@ def test_energy_is_conserved():
 
 @pytest.mark.parametrize("system", [small_coupled_system, anchored_coupled_system])
 def test_diagnostic_hamiltonian_matches_dense_oracle(system):
+    """<H> and <H_coupling> of one state, and the L x L overlaps,
+    <psi_l|H|psi_m> and <psi_l|H_coupling|psi_m> of three."""
     psi, h = system(11)
     v = psi.amplitudes.ravel()
     dv = psi.space.volume_element
@@ -148,6 +150,31 @@ def test_diagnostic_hamiltonian_matches_dense_oracle(system):
     assert fs.total_energy(psi, h) == pytest.approx(energy, rel=1e-10)
     coupling_energy = np.vdot(v, coupling @ v).real * dv
     assert fs.interaction_energy(psi, h) == pytest.approx(coupling_energy, rel=1e-10)
+
+    states = [psi, random_state(psi.space, 14), random_state(psi.space, 15)]
+    vs = np.array([s.amplitudes.ravel() for s in states])
+    matrices = fs.dynamics.matrix_elements(states, h)
+    for got, operator in zip(matrices, (np.eye(len(full)), full, coupling)):
+        want = vs.conj() @ operator @ vs.T * dv
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def test_checkpoint_diagnostics_are_taken_when_read(monkeypatch):
+    psi, h = small_coupled_system(16)
+    calls = []
+    original = fs.dynamics._GridHamiltonian.coupling_elements
+
+    def count(self, states):
+        calls.append(len(states))
+        return original(self, states)
+
+    monkeypatch.setattr(fs.dynamics._GridHamiltonian, "coupling_elements", count)
+    res = fs.evolve_exact(psi, h, 1e-3, 300, 100)
+    assert calls == []
+    assert len(res.energies) == 4
+    assert calls == [1] * 4
+    assert len(res.couplings) == 4
+    assert calls == [1] * 4
 
 
 @pytest.mark.parametrize("system", [small_coupled_system, anchored_coupled_system])

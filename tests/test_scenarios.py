@@ -350,8 +350,8 @@ def test_measurement_rejects_overlapping_components():
     for packet in raw["measurement"]["a"]["packets"]:
         packet["r0"] = 0.8
     raw["measurement"]["a"]["trap"]["centers"] = [0.8, 0.8]
-    with pytest.raises(PropagationError, match="not separated"):
-        run_position_measurement(ScenarioConfig.from_dict(raw))
+    with pytest.raises(ValidationError, match="measurement.a.packets: .*not separated"):
+        ScenarioConfig.from_dict(raw)
 
 
 def oracle_measurement_dict() -> dict:
@@ -465,10 +465,60 @@ def test_measurement_never_propagates_the_full_state(monkeypatch):
     run_position_measurement(cfg)
     m = cfg.measurement
     full = (cfg.center_of_mass.points, cfg.internal.dim, m.a.grid.points, m.b.grid.points)
-    steps = int(round(cfg.schedule.t_final / cfg.dt))
-    checkpoints = len(range(0, steps, cfg.checkpoint_every)) + 1
     propagations = [dims for dims, n in calls if n > 0]
     assert full not in propagations
     # two compounds, two b packets, and the free center-of-mass packet
     assert len(propagations) == 5
-    assert [dims for dims, n in calls if n == 0] == [full] * checkpoints
+    # one zero-step check of the final state, which the report is extracted from
+    assert [dims for dims, n in calls if n == 0] == [full]
+
+
+def assembled(weights, compound_runs, b_runs, k: int) -> StateVector:
+    """Checkpoint k of sum_l w_l compound_l(t) (x) b_l(t), term by term."""
+    return fs.superpose([
+        (w, tensor_product([c.trajectory[k][1], b.trajectory[k][1]]))
+        for w, c, b in zip(weights, compound_runs, b_runs)
+    ])
+
+
+def test_gram_diagnostics_match_assembled_state(monkeypatch):
+    """At every checkpoint, the norm, <H> and <H_coupling> taken from the
+    L x L matrix elements equal those of the assembled 4-factor state."""
+    seen = []
+    original = fs.scenarios._gram_diagnostics
+
+    def record(*args):
+        seen.append((args, original(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr("framesim.scenarios._gram_diagnostics", record)
+    cfg = ScenarioConfig.from_dict(oracle_measurement_dict())
+    run_position_measurement(cfg)
+    ((weights, compound_runs, b_runs, _, _), rows), = seen
+    h = fs.scenarios._measurement_hamiltonians(cfg, cfg.center_of_mass.masses[0])[2]
+    assert len(rows) == len(b_runs[0].trajectory) > 2
+    for k, (norm, energy, coupling) in enumerate(rows):
+        psi = assembled(weights, compound_runs, b_runs, k)
+        assert norm == pytest.approx(psi.norm, rel=0.0, abs=1e-12)
+        assert energy == pytest.approx(fs.total_energy(psi, h), rel=1e-12, abs=1e-12)
+        assert coupling == pytest.approx(fs.interaction_energy(psi, h), rel=0.0, abs=1e-12)
+
+
+def test_measurement_rejects_gram_mismatch(monkeypatch):
+    """A compound checkpoint that differs from the state the final check
+    assembles fails the run's cross-check with a simulation error."""
+    original = fs.dynamics.evolve_exact
+    corrupted = []
+
+    def corrupt(psi0, h, dt, steps, checkpoint_every=100):
+        result = original(psi0, h, dt, steps, checkpoint_every)
+        if steps > 0 and psi0.space.has("A_int") and not corrupted:
+            t, state = result.trajectory[-1]
+            result.trajectory[-1] = (t, StateVector(state.space, state.amplitudes * (1 + 1e-9)))
+            corrupted.append(t)
+        return result
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", corrupt)
+    cfg = ScenarioConfig.from_dict(oracle_measurement_dict())
+    with pytest.raises(PropagationError, match="Gram value"):
+        run_position_measurement(cfg)
