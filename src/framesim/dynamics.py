@@ -30,12 +30,12 @@ kinetic factor is diagonal in the level index, so row i of a step is row i
 of the position-local factor (d multiply-adds on level slabs) followed by
 the kinetic phase between in-place FFTs of that one slab, and it writes
 only slab i.  When a level slab holds at least THREADED_SLAB amplitudes the
-rows run on min(level dimension, usable CPUs) threads of a pool that lives
-for one call, with one join per step; smaller states, and states without a
-level factor, run the same row function inline.  Each amplitude goes
-through the same numpy calls in the same order either way (the 1-D
-transforms last axis first, as fftn does), so the result is bit-identical
-whatever the number of threads.
+rows are shared among the calling thread and min(level dimension, usable
+CPUs) - 1 helper threads of a pool that lives for one call, with one join
+per step; smaller states, and states without a level factor, run every row
+on the calling thread.  Each amplitude goes through the same numpy calls in
+the same order either way (the 1-D transforms last axis first, as fftn
+does), so the result is bit-identical whatever the number of threads.
 
 The heavy subsystem machinery lives here as well: evolve_factorized
 propagates the center-of-mass packet freely while the relative state moves
@@ -411,12 +411,16 @@ def evolve_exact(
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
             workers = min(rows, cpus)
-        # A worker takes every workers-th level row, with one slab of scratch.
+        # Worker w takes every workers-th level row from row w, with one slab
+        # of scratch; the calling thread is worker 0, helper threads the rest.
         scratch = [None] * workers
         if rows > 1:
             slab = dims[:op.level_axis] + dims[op.level_axis + 1:]
             scratch = [np.empty(slab, dtype=np.complex128) for _ in range(workers)]
-        pool = None
+        helpers = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            helpers = ThreadPoolExecutor(workers - 1)
 
         def apply(factor, kinetic, src: np.ndarray, dst: np.ndarray) -> None:
             """Every level row of one step, or of a closing W/2, into dst."""
@@ -424,12 +428,14 @@ def evolve_exact(
                 for i in range(w, rows, workers):
                     op.step_row(factor, kinetic, src, dst, i, scratch[w])
 
-            list((map if pool is None else pool.map)(rows_of, range(workers)))
+            shares = [helpers.submit(rows_of, w) for w in range(1, workers)]
+            try:
+                rows_of(0)
+            finally:
+                for share in shares:
+                    share.result()
 
         try:
-            if workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                pool = ThreadPoolExecutor(workers)
             # Step n reads amps and writes buffers[n % 2]; the other is then free.
             buffers = [np.empty_like(psi0.amplitudes), np.empty_like(psi0.amplitudes)]
             amps = psi0.amplitudes
@@ -449,9 +455,8 @@ def evolve_exact(
                     trajectory.append((n * dt, state))
                     norm_drift = max(norm_drift, abs(state.norm - 1.0))
         finally:
-            if pool is not None:
-                pool.shutdown()
-        del amps, buffers, scratch, opening, half, full, phase
+            if helpers is not None:
+                helpers.shutdown()
     return PropagationResult(trajectory, trajectory[-1][1], norm_drift, op)
 
 

@@ -182,9 +182,9 @@ class GaussianParams:
     """Center, dispersion, and mass of a Gaussian wavepacket.
 
     sigma is the amplitude dispersion; the implied velocity dispersion is
-    xi = hbar / (sigma * mass), and w = mass / mass_unit is the dimensionless
-    mass.  Under the scaling sigma = sigma_ref / sqrt(w) both sigma and xi
-    vanish as w grows.
+    xi = hbar / (sigma * mass).  Under the scaling
+    sigma = sigma_ref / sqrt(mass / mass_unit) both sigma and xi vanish as
+    the mass grows.
     """
 
     r0: float
@@ -201,10 +201,6 @@ class GaussianParams:
             raise ValidationError("gaussian needs mass > 0")
         if self.hbar <= 0.0 or self.mass_unit <= 0.0:
             raise ValidationError("gaussian needs hbar > 0 and mass_unit > 0")
-
-    @property
-    def w(self) -> float:
-        return self.mass / self.mass_unit
 
     @property
     def xi(self) -> float:

@@ -227,9 +227,6 @@ class ScenarioConfig:
         cfg.validate()
         return cfg
 
-    def to_dict(self) -> dict:
-        return _encode(self)
-
     def validate(self) -> None:
         if self.scenario not in ("collision", "position_measurement"):
             raise ValidationError(
@@ -290,8 +287,9 @@ class ScenarioConfig:
         state, and at each mass the run's space and Hamiltonian, and test dt
         against it, so that a bad packet, level state or matrix, coupling
         width or time step fails before a run propagates anything."""
-        with _at("center_of_mass residual window"):
-            _residual_window(self)
+        if self.scenario == "collision":
+            with _at("center_of_mass residual window"):
+                _residual_window(self)
         # Packets come first: GaussianParams rejects hbar <= 0 and
         # mass_unit <= 0 before _cm_setup divides by them.
         packets = _initial_packets(self)
@@ -394,20 +392,6 @@ def _decode_real_array(raw: Any, path: str) -> np.ndarray:
     for cell in cells.flat:  # a ragged row shows up here as a list
         _decode(float, cell, path)
     return cells.astype(float)
-
-
-def _encode(value):
-    """Inverse of _decode; sections that are None are left out."""
-    if is_dataclass(value):
-        return {
-            f.name: _encode(getattr(value, f.name))
-            for f in fields(value) if getattr(value, f.name) is not None
-        }
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return {"real": value.real.tolist(), "imag": value.imag.tolist()}
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -589,22 +573,15 @@ def _collision_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> Hamiltoni
 def _collision_start(
     cfg: ScenarioConfig, mass: float, phi_int: StateVector, psi_s: StateVector
 ) -> tuple[StateVector, HamiltonianSpec]:
-    """Initial state and Hamiltonian at one mass, checked uncoupled at t = 0.
+    """Initial state and Hamiltonian at one mass.
 
-    This takes milliseconds, so run_collision calls it for every mass before
-    anything propagates and again in each point, rather than holding every
-    initial state through the sweep.
+    This takes milliseconds, so run_collision builds it for every mass to
+    check it uncoupled before anything propagates, and again in each point,
+    rather than holding every initial state through the sweep.
     """
     grid_cm, cm_params = _cm_setup(cfg, mass)
     psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, LABEL_CM)
-    h = _collision_hamiltonian(cfg, mass)
-    initial_coupling = abs(interaction_energy(psi0, h))
-    if initial_coupling > INTERACTION_TOL:
-        raise PropagationError(
-            f"interaction is not negligible at the start: |<H_coupling>| = "
-            f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
-        )
-    return psi0, h
+    return psi0, _collision_hamiltonian(cfg, mass)
 
 
 def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
@@ -691,7 +668,12 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
     phi_int = level_state(LABEL_INT, cfg.internal.state)
     masses = cfg.center_of_mass.masses
     for mass in masses:
-        _collision_start(cfg, mass, phi_int, psi_s)
+        initial_coupling = abs(interaction_energy(*_collision_start(cfg, mass, phi_int, psi_s)))
+        if initial_coupling > INTERACTION_TOL:
+            raise PropagationError(
+                f"interaction is not negligible at the start: |<H_coupling>| = "
+                f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
+            )
     residuals = _collision_residual(cfg, phi_int, psi_s)
     return CollisionReport([
         _collision_point(cfg, m, phi_int, psi_s, r) for m, r in zip(masses, residuals)

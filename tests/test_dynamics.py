@@ -280,7 +280,9 @@ def test_threaded_rows_equal_inline_rows(monkeypatch, thread_pools, levels):
             runs[cpus] = fs.evolve_exact(psi, h, 1e-3, 6, 2)
     finally:
         sys.setswitchinterval(interval)
-    assert thread_pools == [2, levels]  # none inline, never more than levels or CPUs
+    # One helper fewer than the rows' workers: none inline, never more than
+    # levels or CPUs.
+    assert thread_pools == [1, levels - 1]
     inline = runs[1]
     assert len(inline.trajectory) == 4
     for threaded in (runs[2], runs[64]):
@@ -312,18 +314,39 @@ def test_no_thread_outlives_a_propagation(monkeypatch):
         return ifft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", watched)
-    fs.evolve_exact(psi, h, 1e-3, 2, 2)
-    assert len(helpers) == 2
-    assert not any(t.is_alive() for t in helpers)
-    assert threading.active_count() == before
+    for _ in range(20):
+        fs.evolve_exact(psi, h, 1e-3, 2, 2)
+        # The calling thread takes one of the two rows, one helper the other.
+        assert len(helpers) == 1
+        assert not any(t.is_alive() for t in helpers)
+        assert threading.active_count() == before
+        helpers.clear()
 
-    helpers.clear()
     monkeypatch.setattr(np.fft, "ifft",
                         lambda *args, **kwargs: watched(*args, fail=True, **kwargs))
     with pytest.raises(RuntimeError, match="helper row"):
         fs.evolve_exact(psi, h, 1e-3, 2, 2)
     assert helpers and not any(t.is_alive() for t in helpers)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_calling_thread_runs_the_even_rows(monkeypatch, levels):
+    psi, h = threaded_system(levels)
+    usable_cpus(monkeypatch, 2)
+    caller, threads = threading.current_thread(), {}
+    step_row = fs.dynamics._GridHamiltonian.step_row
+
+    def watched(self, factor, phase, amps, out, i, scratch):
+        threads.setdefault(i, set()).add(threading.current_thread())
+        step_row(self, factor, phase, amps, out, i, scratch)
+
+    monkeypatch.setattr(fs.dynamics._GridHamiltonian, "step_row", watched)
+    fs.evolve_exact(psi, h, 1e-3, 2, 2)
+    assert sorted(threads) == list(range(levels))
+    assert all(threads[i] == {caller} for i in range(0, levels, 2))
+    odd = set().union(*(threads[i] for i in range(1, levels, 2)))
+    assert len(odd) == 1 and caller not in odd
 
 
 FORKED_PROPAGATION = """

@@ -28,18 +28,15 @@ from oracles import binomial_3sigma
 # configuration validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "make_raw",
-    [
-        pytest.param(fast_collision_dict, id="collision"),
-        pytest.param(fast_measurement_dict, id="measurement"),
-    ],
-)
-def test_config_round_trips_through_dict(make_raw):
-    raw = make_raw()
-    cfg = ScenarioConfig.from_dict(raw)
-    again = ScenarioConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+def test_residual_window_is_checked_for_the_collision_only():
+    # 100 points is no power of two; only the collision builds that window.
+    raw = fast_measurement_dict()
+    raw["center_of_mass"]["residual_points"] = 100
+    ScenarioConfig.from_dict(raw)
+    raw = fast_collision_dict()
+    raw["center_of_mass"]["residual_points"] = 100
+    with pytest.raises(ValidationError, match="center_of_mass residual window: "):
+        ScenarioConfig.from_dict(raw)
 
 
 def test_config_rejects_unnormalized_coefficients():
@@ -204,14 +201,23 @@ def test_collision_propagates_residual_once(monkeypatch):
         calls[psi0.space.dims, h.kinetic.get("A_cm")] += 1
         return original(psi0, h, dt, min(steps, 2), checkpoint_every)
 
+    # Each start is checked uncoupled once.
+    starts, interaction_energy = Counter(), fs.scenarios.interaction_energy
+
+    def checked(state, h):
+        starts[h.kinetic.get("A_cm")] += 1
+        return interaction_energy(state, h)
+
     monkeypatch.setattr("framesim.scenarios.evolve_exact", short)
     monkeypatch.setattr("framesim.dynamics.evolve_exact", short)
+    monkeypatch.setattr("framesim.scenarios.interaction_energy", checked)
     raw = fast_collision_dict()
     raw["center_of_mass"]["masses"] = [100.0, 1000.0, 10000.0]
     cfg = ScenarioConfig.from_dict(raw)
     report = run_collision(cfg)
     cm = cfg.center_of_mass
     assert calls[(cm.residual_points, 2, 512), None] == 1
+    assert starts == Counter(cm.masses)
     for mass in cm.masses:
         assert calls[(cm.points, 2, 512), mass] == 1
     scaled = [p.residual_norm * p.mass for p in report.points]
