@@ -19,7 +19,6 @@ from .hilbert import (
     tensor_product,
 )
 from .dynamics import (
-    FactorizedResult,
     HamiltonianSpec,
     Interaction,
     PropagationResult,

@@ -213,16 +213,17 @@ SWEEP_COLUMNS = {
 }
 
 
-def _sweep_worker(args: tuple[dict, str]) -> tuple[dict, list[dict]]:
-    raw, scenario_dir = args
-    return _execute(raw, ScenarioConfig.from_dict(raw), Path(scenario_dir))
+def _sweep_worker(args: tuple[dict, ScenarioConfig, str]) -> tuple[dict, list[dict]]:
+    raw, cfg, scenario_dir = args
+    return _execute(raw, cfg, Path(scenario_dir))
 
 
 def _sweep_jobs(
     config_path: str, param: str, values: list, out_dir: str, seed: int | None
-) -> tuple[list[float], list[tuple[dict, str]], int]:
-    """The sweep's values, one (config, run directory) job per value, and the
-    worker count; every value is validated before anything runs."""
+) -> tuple[list[float], list[tuple[dict, ScenarioConfig, str]], int]:
+    """The sweep's values, one (config, its decoded form, run directory) job
+    per value, and the worker count; every value is decoded and validated
+    once, before anything runs."""
     try:
         values = [float(v) for v in values]
     except ValueError as exc:
@@ -241,12 +242,12 @@ def _sweep_jobs(
         # Sweeping the heavy mass replaces the whole sweep list; the
         # packet dispersion then rescales as 1/sqrt(mass) per run.
         apply_override(raw, param, [value] if param == "center_of_mass.masses" else value)
-        ScenarioConfig.from_dict(raw)
-        jobs.append((raw, str(Path(out_dir) / f"run-{i:03d}")))
+        cfg = ScenarioConfig.from_dict(raw)
+        jobs.append((raw, cfg, str(Path(out_dir) / f"run-{i:03d}")))
     return values, jobs, int(setting)
 
 
-def _sweep_results(jobs: list[tuple[dict, str]], workers: int) -> list:
+def _sweep_results(jobs: list[tuple[dict, ScenarioConfig, str]], workers: int) -> list:
     """_sweep_worker of each job, in a process pool when workers > 1.  A dead
     pool worker is a simulation error; an error cancels unstarted jobs."""
     if workers == 1:
@@ -292,7 +293,7 @@ def cmd_sweep(
         "tool_version": __version__,
         "sweep_param": param,
         "values": values,
-        "runs": [Path(run_dir).name for _, run_dir in jobs],
+        "runs": [Path(run_dir).name for *_, run_dir in jobs],
         "run_digests": [manifest["report_digest"] for manifest, _ in results],
         "outputs": {"summary": "summary.csv"},
     }

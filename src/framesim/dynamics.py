@@ -37,12 +37,13 @@ on the calling thread.  Each amplitude goes through the same numpy calls in
 the same order either way (the 1-D transforms last axis first, as fftn
 does), so the result is bit-identical whatever the number of threads.
 
-The heavy subsystem machinery lives here as well: evolve_factorized
-propagates the center-of-mass packet freely while the relative state moves
-under the coupling frozen at a reference anchor position, and
-factorization_residual measures the norm of the neglected center-of-mass
-kinetic term acting on a relative state that still carries explicit
-anchor-coordinate dependence.
+The heavy subsystem machinery lives here as well.  evolve_factorized
+returns the final relative state of the product approximation: the
+coupling's anchor is frozen at the heavy packet's centre, and no term
+depends on the heavy mass.  The freely moving packet that multiplies it is
+the scenarios' own run.  factorization_residual measures the norm of the
+neglected center-of-mass kinetic term acting on a relative state that still
+carries explicit anchor-coordinate dependence.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import Factor, Space, StateVector, inner_product, tensor_product
+from .hilbert import Factor, Space, StateVector, inner_product
 
 HERMITICITY_TOL = 1e-12
 # Amplitudes per level slab from which the rows of a step run on threads.
@@ -367,14 +368,6 @@ class PropagationResult:
                 for (_, s), c in zip(self.trajectory, self.couplings)]
 
 
-@dataclass(eq=False)
-class FactorizedResult:
-    """Product-form evolution: free center-of-mass times relative state."""
-
-    cm: PropagationResult
-    final: StateVector
-
-
 def evolve_exact(
     psi0: StateVector,
     h: HamiltonianSpec,
@@ -461,49 +454,20 @@ def evolve_exact(
 
 
 def evolve_factorized(
-    phi_cm: StateVector,
-    psi1_0: StateVector,
-    h: HamiltonianSpec,
-    dt: float,
-    steps: int,
-    checkpoint_every: int = 100,
-    freeze_at: float = 0.0,
-) -> FactorizedResult:
-    """Propagate the product approximation: free packet times relative state.
+    psi1_0: StateVector, h: HamiltonianSpec, dt: float, steps: int
+) -> StateVector:
+    """The relative state of the product approximation at the final time.
 
-    The center-of-mass packet evolves under its kinetic term only; the
-    relative state evolves under everything else, with the coupling's anchor
-    coordinate frozen at `freeze_at` (the narrow-packet limit).  The returned
-    final state is the tensor product in (cm, relative) factor order.
+    psi1_0 evolves under h, which must hold no term of the heavy packet's
+    coordinate; a coupling anchored to that coordinate is frozen at 0, the
+    packet's centre (the narrow-packet limit).  No term depends on the heavy
+    mass, so one run serves every mass of a sweep.  The final state does not
+    depend on the checkpoint stride, so none but it is stored.
     """
-    if len(phi_cm.space.factors) != 1 or not phi_cm.space.factors[0].is_coordinate:
-        raise ValidationError("phi_cm must live on a single coordinate factor")
-    cm_label = phi_cm.space.labels[0]
-    if cm_label not in h.kinetic:
-        raise ValidationError(f"Hamiltonian has no kinetic term for {cm_label!r}")
-    if psi1_0.space.has(cm_label):
-        raise ValidationError("relative state must not contain the cm factor")
-
-    h_cm = HamiltonianSpec(kinetic={cm_label: h.kinetic[cm_label]}, hbar=h.hbar)
-    rel_kinetic = {
-        lab: m for lab, m in h.kinetic.items() if psi1_0.space.has(lab)
-    }
-    rel_potentials = {
-        lab: v for lab, v in h.potentials.items() if psi1_0.space.has(lab)
-    }
-    interaction = h.interaction
-    if interaction is not None and interaction.anchor == cm_label:
-        interaction = interaction.frozen_at(freeze_at)
-    h_rel = HamiltonianSpec(
-        kinetic=rel_kinetic,
-        potentials=rel_potentials,
-        internal=h.internal,
-        interaction=interaction,
-        hbar=h.hbar,
-    )
-    cm = evolve_exact(phi_cm, h_cm, dt, steps, checkpoint_every)
-    relative = evolve_exact(psi1_0, h_rel, dt, steps, checkpoint_every)
-    return FactorizedResult(cm, tensor_product([cm.final, relative.final]))
+    ia = h.interaction
+    if ia is not None and ia.anchor is not None:
+        h = replace(h, interaction=ia.frozen_at(0.0))
+    return evolve_exact(psi1_0, h, dt, steps, max(steps, 1)).final
 
 
 def factorization_residual(

@@ -85,6 +85,8 @@ INTERACTION_TOL = 1e-8
 SEPARATION_TOL = 1e-6
 GRAM_TOL = 1e-12
 COEFF_NORM_TOL = 1e-10
+# Branch draws per chunk when the measurement counts its outcomes.
+TRIAL_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +450,15 @@ def _record(kind: str, report, skip: str | None = None) -> dict:
     return {"record": kind, **body}
 
 
+def _free_packet(cfg: ScenarioConfig, mass: float) -> StateVector:
+    """The heavy packet at t_final, evolved under its kinetic term alone."""
+    grid_cm, params = _cm_setup(cfg, mass)
+    steps = _steps_for(cfg)
+    h_cm = HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=cfg.hbar)
+    return evolve_exact(make_gaussian(grid_cm, params, LABEL_CM), h_cm, cfg.dt, steps,
+                        max(steps, 1)).final
+
+
 def _residual_window(cfg: ScenarioConfig) -> StateVector:
     """Uniform weight over the residual window's anchor positions."""
     cm = cfg.center_of_mass
@@ -604,28 +615,23 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
 
 def _collision_point(
     cfg: ScenarioConfig, mass: float, phi_int: StateVector, psi_s: StateVector,
-    residual_norm: float,
+    residual_norm: float, relative: StateVector,
 ) -> CollisionPoint:
+    """One mass of the sweep; `relative` is the sweep's factorized relative
+    state at t_final, which does not depend on the mass."""
     psi0, h = _collision_start(cfg, mass, phi_int, psi_s)
-    grid_cm, cm_params = _cm_setup(cfg, mass)
-    steps = _steps_for(cfg)
-
-    exact = evolve_exact(psi0, h, cfg.dt, steps, cfg.checkpoint_every)
+    exact = evolve_exact(psi0, h, cfg.dt, _steps_for(cfg), cfg.checkpoint_every)
     worst_initial, worst_final = _check_three_periods(cfg, exact)
     energy_drift = _energy_drift(exact.energies)
     # Only the final state is read from here on; the other checkpoint states
-    # are released before the factorized run and the density matrices.
+    # are released before the free packet's run and the density matrices.
     final, norm_drift = exact.final, exact.norm_drift
     del exact
 
-    phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
-    fact = evolve_factorized(
-        phi_cm, tensor_product([phi_int, psi_s]), h, cfg.dt, steps,
-        cfg.checkpoint_every, freeze_at=cm_params.r0,
-    )
-    deficit = fidelity_deficit(final, fact.final)
+    phi_free = _free_packet(cfg, mass)
+    deficit = fidelity_deficit(final, tensor_product([phi_free, relative]))
 
-    extraction = extract_relative_state(final, fact.cm.final)
+    extraction = extract_relative_state(final, phi_free)
     branches = transform_to_intrinsic(
         extraction.state, Bipartition([LABEL_S], [LABEL_INT])
     )
@@ -641,7 +647,7 @@ def _collision_point(
 
     return CollisionPoint(
         mass=mass,
-        sigma_cm=cm_params.sigma,
+        sigma_cm=_cm_setup(cfg, mass)[1].sigma,
         fidelity_deficit=float(deficit),
         residual_norm=residual_norm,
         overlap_weight=extraction.overlap_weight,
@@ -675,8 +681,11 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
                 f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
             )
     residuals = _collision_residual(cfg, phi_int, psi_s)
+    relative = evolve_factorized(tensor_product([phi_int, psi_s]),
+                                 _collision_hamiltonian(cfg, None), cfg.dt, _steps_for(cfg))
     return CollisionReport([
-        _collision_point(cfg, m, phi_int, psi_s, r) for m, r in zip(masses, residuals)
+        _collision_point(cfg, m, phi_int, psi_s, r, relative)
+        for m, r in zip(masses, residuals)
     ])
 
 
@@ -883,6 +892,17 @@ def _gram_diagnostics(
     return rows
 
 
+def _branch_counts(sampler: BranchSampler, result, trials: int) -> np.ndarray:
+    """Draws per branch over `trials` draws, TRIAL_CHUNK at a time, so that
+    memory does not grow with the trials.  Each draw takes one double of
+    the sampler's stream, so the counts do not depend on the chunk size."""
+    counts = np.zeros(result.rank, dtype=np.int64)
+    for start in range(0, trials, TRIAL_CHUNK):
+        draws = sampler.draw_many(result, min(TRIAL_CHUNK, trials - start))
+        counts += np.bincount(draws, minlength=result.rank)
+    return counts
+
+
 def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     """Two-particle measurement model: particle a is trapped near the heavy
     system while entangled partner b never couples to anything.
@@ -961,8 +981,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
                 f"Gram value ({gram!r}) by more than {GRAM_TOL:g} relative"
             )
 
-    h_cm = HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=cfg.hbar)
-    phi_free = evolve_exact(phi_cm, h_cm, cfg.dt, steps, max(steps, 1)).final
+    phi_free = _free_packet(cfg, mass)
     extraction = extract_relative_state(check.final, phi_free)
     psi1 = extraction.state
 
@@ -984,11 +1003,10 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     compounds = [extract_relative_state(run.final, phi_free).state for run in compound_runs]
     compound_overlap = abs(inner_product(compounds[0], compounds[1]))
 
-    sampler = BranchSampler(cfg.seeds.branch)
-    draws = sampler.draw_many(result, cfg.seeds.trials)
     counts = [0] * len(coeffs)
-    for j in draws:
-        counts[outcome_of_branch[int(j)]] += 1
+    for j, n in enumerate(_branch_counts(BranchSampler(cfg.seeds.branch), result,
+                                         cfg.seeds.trials)):
+        counts[outcome_of_branch[j]] += int(n)
     freqs = [c / cfg.seeds.trials for c in counts]
 
     a_marginal = position_marginal(psi1, LABEL_A)

@@ -71,9 +71,10 @@ def fast_measurement_report():
 class MiniCollision:
     """Small exact-vs-factorized collision used across test modules.
 
-    Holds, per heavy mass: the exact propagation, the factorized product
-    evolution, and the Hamiltonian, on grids small enough that the whole
-    sweep runs in seconds.
+    Holds, per heavy mass: the exact propagation, the freely evolved heavy
+    packet, the factorized product state (that packet times the relative
+    state, propagated once for every mass) and the Hamiltonian, on grids
+    small enough that the whole sweep runs in seconds.
     """
 
     def __init__(self):
@@ -89,13 +90,19 @@ class MiniCollision:
             "S",
         )
         self.phi_int = level_state("A_int", [1.0, 0.0])
+        self.relative = fs.evolve_factorized(
+            tensor_product([self.phi_int, self.psi_s]), self.hamiltonian(None),
+            self.dt, self.steps,
+        )
         self.runs = {}
         for mass in self.masses:
             self.runs[mass] = self._run(mass)
 
-    def hamiltonian(self, mass: float) -> fs.HamiltonianSpec:
+    def hamiltonian(self, mass: float | None) -> fs.HamiltonianSpec:
+        """The collision H; with no mass it has no center-of-mass kinetic term."""
+        cm = {} if mass is None else {"A_cm": mass}
         return fs.HamiltonianSpec(
-            kinetic={"A_cm": mass, "S": 4.0},
+            kinetic={**cm, "S": 4.0},
             internal=("A_int", INTERNAL_H),
             interaction=fs.Interaction(
                 subject="S",
@@ -115,11 +122,10 @@ class MiniCollision:
         psi0 = fs.lift_to_auxiliary(self.phi_int, self.psi_s, params, grid_cm, "A_cm")
         h = self.hamiltonian(mass)
         exact = fs.evolve_exact(psi0, h, self.dt, self.steps, self.steps)
-        fact = fs.evolve_factorized(
-            phi_cm, tensor_product([self.phi_int, self.psi_s]), h,
-            self.dt, self.steps, self.steps,
-        )
-        return {"exact": exact, "factorized": fact, "h": h, "params": params}
+        h_cm = fs.HamiltonianSpec(kinetic={"A_cm": mass}, hbar=self.hbar)
+        free_cm = fs.evolve_exact(phi_cm, h_cm, self.dt, self.steps, self.steps).final
+        return {"exact": exact, "free_cm": free_cm, "h": h, "params": params,
+                "factorized": tensor_product([free_cm, self.relative])}
 
     def parametric_relative(self):
         """Relative state with explicit heavy-coordinate dependence."""

@@ -23,6 +23,7 @@ from framesim.cli import (
     config_digest,
     main,
 )
+from framesim.scenarios import ScenarioConfig
 
 from conftest import fast_collision_dict, fast_measurement_dict
 
@@ -340,6 +341,31 @@ def test_measurement_sweep_tables(measurement_config_file, tmp_path):
         assert rec["record"] == "measurement"
         assert row == [rec["trials"], *(rec[name] for name in columns)]
     _assert_plots_match_summary(out)
+
+
+def test_sweep_decodes_each_config_once(measurement_config_file, tmp_path, monkeypatch):
+    decoded, from_dict = [], ScenarioConfig.from_dict.__func__
+
+    def counting(cls, raw):
+        decoded.append(raw["seeds"]["trials"])
+        return from_dict(cls, raw)
+
+    class Report:
+        def __init__(self, cfg):
+            self.trials = cfg.seeds.trials
+
+        def to_records(self):
+            return [{"record": "measurement", "trials": self.trials, "coefficient_error": 0.0,
+                     "overlap_weight": 1.0, "absorbed_mass": 1.0}]
+
+    monkeypatch.setattr(ScenarioConfig, "from_dict", classmethod(counting))
+    monkeypatch.setattr("framesim.cli.run_scenario", Report)
+    out = tmp_path / "sweep"
+    values = [400.0, 500.0, 600.0]
+    assert cmd_sweep(str(measurement_config_file), "seeds.trials", values, str(out)) == EXIT_OK
+    # The base config once, then each value's config once.
+    assert decoded == [2000, 400, 500, 600]
+    assert [_records(out / f"run-{i:03d}")[0]["trials"] for i in range(3)] == [400, 500, 600]
 
 
 def test_sweep_rejects_unknown_key(collision_config_file, tmp_path):

@@ -430,26 +430,47 @@ def test_factorized_equals_exact_without_coupling():
     )
     psi0 = tensor_product([phi_cm, phi_int, psi_s])
     exact = fs.evolve_exact(psi0, h, 2e-3, 500, 500)
-    fact = fs.evolve_factorized(phi_cm, tensor_product([phi_int, psi_s]), h, 2e-3, 500, 500)
-    assert fs.fidelity_deficit(exact.final, fact.final) <= 1e-12
+    h_cm = fs.HamiltonianSpec(kinetic={"A_cm": 100.0})
+    free_cm = fs.evolve_exact(phi_cm, h_cm, 2e-3, 500, 500).final
+    h_rel = replace(h, kinetic={"S": 1.0})
+    relative = fs.evolve_factorized(tensor_product([phi_int, psi_s]), h_rel, 2e-3, 500)
+    assert fs.fidelity_deficit(exact.final, tensor_product([free_cm, relative])) <= 1e-12
+
+
+def collision_relative_hamiltonian(anchor: str | None) -> fs.HamiltonianSpec:
+    return fs.HamiltonianSpec(
+        kinetic={"S": 1.0},
+        internal=("A_int", INTERNAL_H),
+        interaction=fs.Interaction(subject="S", anchor=anchor, level="A_int",
+                                   profile=fs.gaussian_profile(2.0, 0.5),
+                                   coupling=COUPLING_K),
+    )
+
+
+def relative_start() -> StateVector:
+    psi_s = make_gaussian(fs.Grid(64, -8.0, 8.0),
+                          fs.GaussianParams(r0=-2.0, p0=3.0, sigma=0.8, mass=1.0), "S")
+    return tensor_product([level_state("A_int", [0.8, 0.6]), psi_s])
 
 
 def test_factorized_initial_condition_is_exact_product():
-    grid_cm = fs.Grid(64, -2.0, 2.0)
-    params = fs.GaussianParams(r0=0.0, p0=0.0, sigma=0.2, mass=100.0)
-    phi_cm = make_gaussian(grid_cm, params, "A_cm")
-    psi1 = level_state("A_int", [0.8, 0.6])
-    h = fs.HamiltonianSpec(kinetic={"A_cm": 100.0}, internal=("A_int", INTERNAL_H))
-    fact = fs.evolve_factorized(phi_cm, psi1, h, 1e-3, 0, 1)
-    ref = tensor_product([phi_cm, psi1])
-    assert fs.fidelity_deficit(fact.final, ref) <= 1e-14
+    psi1 = relative_start()
+    relative = fs.evolve_factorized(psi1, collision_relative_hamiltonian("A_cm"), 1e-3, 0)
+    assert fs.fidelity_deficit(relative, psi1) <= 1e-14
+
+
+def test_factorized_freezes_the_anchor_at_the_packet_centre():
+    psi1 = relative_start()
+    relative = fs.evolve_factorized(psi1, collision_relative_hamiltonian("A_cm"), 1e-3, 50)
+    frozen = fs.evolve_exact(psi1, collision_relative_hamiltonian(None), 1e-3, 50, 7)
+    assert np.array_equal(relative.amplitudes, frozen.final.amplitudes)
 
 
 def test_factorized_deficit_shrinks_with_mass(mini_collision):
     deficits = []
     for mass in mini_collision.masses:
         run = mini_collision.runs[mass]
-        deficits.append(fs.fidelity_deficit(run["exact"].final, run["factorized"].final))
+        deficits.append(fs.fidelity_deficit(run["exact"].final, run["factorized"]))
     assert deficits[0] > deficits[1] > deficits[2]
     # deficit ~ c / mass: the log-log slope should be close to -1
     slope = np.polyfit(np.log(mini_collision.masses), np.log(deficits), 1)[0]
@@ -461,7 +482,7 @@ def test_factorized_deficit_shrinks_with_mass(mini_collision):
 
 def test_deficit_small_at_heavy_mass(mini_collision):
     run = mini_collision.runs[1e4]
-    deficit = fs.fidelity_deficit(run["exact"].final, run["factorized"].final)
+    deficit = fs.fidelity_deficit(run["exact"].final, run["factorized"])
     assert deficit < 1e-3
 
 

@@ -88,7 +88,7 @@ def test_extract_without_coupling_matches_independent_evolution(lifted):
 
 def test_extract_overlap_near_one_for_heavy_mass(mini_collision):
     run = mini_collision.runs[1e4]
-    extraction = fs.extract_relative_state(run["exact"].final, run["factorized"].cm.final)
+    extraction = fs.extract_relative_state(run["exact"].final, run["free_cm"])
     assert extraction.overlap_weight >= 0.999
 
 
@@ -150,7 +150,7 @@ def test_transform_sampled_mode_is_deterministic():
 
 def test_branch_probabilities_match_reduced_density(mini_collision):
     run = mini_collision.runs[1e3]
-    extraction = fs.extract_relative_state(run["exact"].final, run["factorized"].cm.final)
+    extraction = fs.extract_relative_state(run["exact"].final, run["free_cm"])
     result = fs.transform_to_intrinsic(extraction.state, fs.Bipartition(["S"], ["A_int"]))
     rho = fs.reduced_density_matrix(extraction.state, ["A_int"])
     eigs = np.sort(rho.eigenvalues())[::-1]
@@ -160,7 +160,7 @@ def test_branch_probabilities_match_reduced_density(mini_collision):
 
 def test_ensemble_probabilities_sum_to_one(mini_collision):
     run = mini_collision.runs[1e2]
-    extraction = fs.extract_relative_state(run["exact"].final, run["factorized"].cm.final)
+    extraction = fs.extract_relative_state(run["exact"].final, run["free_cm"])
     result = fs.transform_to_intrinsic(extraction.state, fs.Bipartition(["S"], ["A_int"]))
     assert abs(float(np.sum(result.probabilities())) - 1.0) <= 1e-10
     for left, right in zip(result.left_states, result.right_states):
@@ -288,7 +288,7 @@ def test_trace_distance_between_mixed_and_full_reduced_shrinks(mini_collision):
     for mass in mini_collision.masses:
         run = mini_collision.runs[mass]
         extraction = fs.extract_relative_state(
-            run["exact"].final, run["factorized"].cm.final
+            run["exact"].final, run["free_cm"]
         )
         result = fs.transform_to_intrinsic(
             extraction.state, fs.Bipartition(["S"], ["A_int"])

@@ -1,11 +1,17 @@
-"""The benchmark's kernel probe (`perfbench/launch.py --kernel`) finds each
-shipped array shape by intercepting the first propagation of that shape in
-a shipped run.  A change to the scenarios that removes such a propagation
-would make `perfbench/run.py --trace 1` fail; this catches it here."""
+"""The benchmark reaches into framesim by name.  Its kernel probe
+(`perfbench/launch.py --kernel`) finds each shipped array shape by
+intercepting the first propagation of that shape in a shipped run, and its
+tracer (`perfbench/spans.py`) wraps functions at the names they are called
+through.  A change to the scenarios that removes such a propagation or
+renames such a function would make `perfbench/run.py --trace 1` fail; these
+tests catch it here."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +38,12 @@ def test_kernel_probe_finds_shipped_shape(shape, config):
     _, (psi0, h, dt) = load_launch()._capture(ROOT / config, shape)
     assert "x".join(map(str, psi0.space.dims)) == shape
     assert dt > 0.0
+
+
+def test_tracer_installs(tmp_path):
+    # In a process of its own: install rebinds names in the framesim modules.
+    code = "import sys, spans; spans.install(spans.Recorder(sys.argv[1], 'probe'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "perfbench"])}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -15,6 +15,7 @@ from framesim.hilbert import Factor, Grid, Space, StateVector, make_gaussian, te
 from framesim.scenarios import (
     PartitionGeometry,
     ScenarioConfig,
+    _branch_counts,
     detect_partition,
     run_collision,
     run_position_measurement,
@@ -216,10 +217,15 @@ def test_collision_propagates_residual_once(monkeypatch):
     cfg = ScenarioConfig.from_dict(raw)
     report = run_collision(cfg)
     cm = cfg.center_of_mass
+    # The residual window and the factorized relative state do not depend on
+    # the mass: each is propagated once per sweep.
     assert calls[(cm.residual_points, 2, 512), None] == 1
+    assert calls[(cfg.internal.dim, cfg.particle.grid.points), None] == 1
     assert starts == Counter(cm.masses)
     for mass in cm.masses:
         assert calls[(cm.points, 2, 512), mass] == 1
+        assert calls[(cm.points,), mass] == 1  # the free center-of-mass packet
+    assert sum(calls.values()) == 2 * len(cm.masses) + 2
     scaled = [p.residual_norm * p.mass for p in report.points]
     assert scaled[0] > 0.0
     assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
@@ -318,6 +324,29 @@ def test_measurement_outcome_statistics(fast_measurement_report):
     assert abs(sum(rep.empirical_frequencies) - 1.0) <= 1e-12
     for prob, freq in zip(rep.outcome_probabilities, rep.empirical_frequencies):
         assert abs(freq - prob) <= binomial_3sigma(prob, rep.trials)
+
+
+def test_branch_counts_are_drawn_in_chunks(monkeypatch):
+    up, down = [1.0, 0.0], [0.0, 1.0]
+    state = fs.superpose([
+        (math.sqrt(0.3), tensor_product([fs.level_state("p", up), fs.level_state("q", up)])),
+        (math.sqrt(0.7), tensor_product([fs.level_state("p", down),
+                                         fs.level_state("q", down)])),
+    ])
+    result = fs.schmidt_decompose(state, fs.Bipartition(["p"], ["q"]))
+    sizes, draw_many = [], fs.BranchSampler.draw_many
+
+    def spy(sampler, result, n):
+        sizes.append(n)
+        return draw_many(sampler, result, n)
+
+    monkeypatch.setattr("framesim.scenarios.TRIAL_CHUNK", 7)
+    monkeypatch.setattr(fs.BranchSampler, "draw_many", spy)
+    chunked = _branch_counts(fs.BranchSampler(11), result, 1000)
+    assert sizes == [7] * 142 + [6]
+    whole = np.bincount(draw_many(fs.BranchSampler(11), result, 1000), minlength=2)
+    assert chunked.tolist() == whole.tolist()
+    assert sum(chunked) == 1000 and min(chunked) > 0
 
 
 def test_measurement_branch_probe_states(fast_measurement_report):
