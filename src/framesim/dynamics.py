@@ -43,7 +43,11 @@ coupling's anchor is frozen at the heavy packet's centre, and no term
 depends on the heavy mass.  The freely moving packet that multiplies it is
 the scenarios' own run.  factorization_residual measures the norm of the
 neglected center-of-mass kinetic term acting on a relative state that still
-carries explicit anchor-coordinate dependence.
+carries explicit anchor-coordinate dependence.  The collision's exact run
+needs nothing more: in Jacobi coordinates its coupling is a profile of the
+relative coordinate alone (an anchor frozen at 0), and its stacked Schmidt
+terms are one more factor that no term acts on, which every operator part
+broadcasts over.
 """
 
 from __future__ import annotations

@@ -221,14 +221,22 @@ class GaussianParams:
         sigma = sigma_ref / math.sqrt(mass / mass_unit)
         return cls(r0=r0, p0=p0, sigma=sigma, mass=mass, hbar=hbar, mass_unit=mass_unit)
 
+    def amplitudes(self, x: np.ndarray) -> np.ndarray:
+        """(pi sigma^2)^(-1/4) exp(i p0 x / hbar) exp(-(x-r0)^2 / 2 sigma^2)
+        at any positions x, grid points or not."""
+        return (np.pi * self.sigma**2) ** -0.25 * np.exp(
+            1j * self.p0 * x / self.hbar
+            - (x - self.r0) ** 2 / (2.0 * self.sigma**2)
+        )
+
 
 def make_gaussian(grid: Grid, params: GaussianParams, label: str) -> StateVector:
     """Normalized Gaussian wavepacket on a single-factor coordinate space.
 
-    Amplitude (pi sigma^2)^(-1/4) exp(i p0 x / hbar) exp(-(x-r0)^2 / 2 sigma^2),
-    renormalized exactly on the grid.  The packet must be resolvable
-    (sigma >= 3 dx) and its analytic probability mass outside [x_min, x_max]
-    must stay below 1e-12, otherwise construction fails.
+    params.amplitudes at the grid points, renormalized exactly on the grid.
+    The packet must be resolvable (sigma >= 3 dx) and its analytic
+    probability mass outside [x_min, x_max] must stay below 1e-12, otherwise
+    construction fails.
     """
     dx = grid.dx
     if params.sigma < 3.0 * dx:
@@ -244,11 +252,7 @@ def make_gaussian(grid: Grid, params: GaussianParams, label: str) -> StateVector
             f"wavepacket support clipped: mass {outside:.3e} outside "
             f"[{grid.x_min:g}, {grid.x_max:g}] exceeds {BOUNDARY_MASS_LIMIT:g}"
         )
-    x = grid.positions()
-    amps = (np.pi * params.sigma**2) ** -0.25 * np.exp(
-        1j * params.p0 * x / params.hbar
-        - (x - params.r0) ** 2 / (2.0 * params.sigma**2)
-    )
+    amps = params.amplitudes(grid.positions())
     state = StateVector(Space((Factor.coordinate(label, grid),)), amps)
     return state.normalized()
 

@@ -13,6 +13,12 @@ outgoing packet is entangled with the internal state while the momentum
 transferred to the heavy center of mass stays small; the product
 approximation then improves as 1/mass along a sweep.
 
+The collision's heavy subsystem is propagated in its intrinsic frame, the
+center-of-mass frame.  In Jacobi coordinates its free motion separates from
+the relative motion that the coupling acts on, so each mass's exact run is
+one small stacked relative run, mapped to the heavy and light grids only at
+t_final (_collision_exact).
+
 Absorption in the measurement scenario is modeled by static trapping wells
 that hold the absorbed particle near the heavy system; this is a simulator
 construction (no microscopic absorption mechanism is prescribed), and the
@@ -34,6 +40,7 @@ import numpy as np
 from .dynamics import (
     HamiltonianSpec,
     Interaction,
+    PropagationResult,
     check_time_step,
     evolve_exact,
     evolve_factorized,
@@ -80,10 +87,16 @@ LABEL_INT = "A_int"
 LABEL_S = "S"
 LABEL_A = "a"
 LABEL_B = "b"
+# The Jacobi center of mass, and the index of the stacked relative states.
+LABEL_R = "R"
+LABEL_K = "k"
 
 INTERACTION_TOL = 1e-8
 SEPARATION_TOL = 1e-6
 GRAM_TOL = 1e-12
+# The collision's mapped state against its relative run: measured 5e-15 on
+# the shipped grids, 5e-10 where the packet crosses the particle window.
+JACOBI_TOL = 1e-8
 COEFF_NORM_TOL = 1e-10
 # Branch draws per chunk when the measurement counts its outcomes.
 TRIAL_CHUNK = 1 << 20
@@ -584,12 +597,8 @@ def _collision_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> Hamiltoni
 def _collision_start(
     cfg: ScenarioConfig, mass: float, phi_int: StateVector, psi_s: StateVector
 ) -> tuple[StateVector, HamiltonianSpec]:
-    """Initial state and Hamiltonian at one mass.
-
-    This takes milliseconds, so run_collision builds it for every mass to
-    check it uncoupled before anything propagates, and again in each point,
-    rather than holding every initial state through the sweep.
-    """
+    """Initial state and Hamiltonian at one mass on the (A_cm, A_int, S)
+    grid, which run_collision checks uncoupled before anything propagates."""
     grid_cm, cm_params = _cm_setup(cfg, mass)
     psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, LABEL_CM)
     return psi0, _collision_hamiltonian(cfg, mass)
@@ -613,20 +622,138 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
             for m in cfg.center_of_mass.masses]
 
 
+def _relative_hamiltonian(cfg: ScenarioConfig, mass: float) -> HamiltonianSpec:
+    """H_rel = p_r^2 / 2 mu + g(r) K + H_int on the relative coordinate r,
+    which the particle's label carries; the coupling's anchor is 0."""
+    h, m = _collision_hamiltonian(cfg, None), cfg.particle.mass
+    return replace(h, kinetic={LABEL_S: m * mass / (m + mass)},
+                   interaction=h.interaction.frozen_at(0.0))
+
+
+def _jacobi_start(
+    cfg: ScenarioConfig, mass: float, phi_int: StateVector
+) -> tuple[StateVector, Grid]:
+    """psi0 = packet(X) (x) phi_int (x) psi_s(x) on the (R, A_int, r) grid,
+    and the wider r grid the relative run uses.
+
+    R = (1 - w) X + w x with w = m / (M + m), and r = x - X, so X = R - w r
+    and x = R + (1 - w) r.  psi0 is sampled with r on the particle grid.
+    The run's r grid has the same spacing over twice that window, centred
+    on it, so that what leaves the window does not wrap around in r.  The R
+    grid spans (1 - w) X + w x over the center-of-mass grid and that wider
+    window, with a spacing of at most (1 - w) times the center-of-mass
+    spacing.
+    """
+    grid_cm, cm_params = _cm_setup(cfg, mass)
+    grid_x = cfg.particle.grid.to_grid()
+    half = 0.5 * (grid_x.x_max - grid_x.x_min)
+    grid_r = Grid(2 * grid_x.n_points, grid_x.x_min - half, grid_x.x_max + half)
+    w = cfg.particle.mass / (mass + cfg.particle.mass)
+    lo = (1.0 - w) * grid_cm.x_min + w * grid_r.x_min
+    hi = (1.0 - w) * grid_cm.x_max + w * grid_r.x_max
+    points = 1 << math.ceil(math.log2((hi - lo) / ((1.0 - w) * grid_cm.dx)))
+    grid_big_r = Grid(points, lo, hi)
+    big_r = grid_big_r.positions()[:, None]
+    r = grid_x.positions()[None, :]
+    psi_s = cfg.particle.packet.params(cfg.particle.mass, cfg.hbar, cfg.mass_unit)
+    plane = cm_params.amplitudes(big_r - w * r) * psi_s.amplitudes(big_r + (1.0 - w) * r)
+    space = Space((Factor.coordinate(LABEL_R, grid_big_r), *phi_int.space.factors,
+                   Factor.coordinate(LABEL_S, grid_x)))
+    psi0 = StateVector(space, plane[:, None, :] * phi_int.amplitudes[:, None])
+    return psi0.normalized(), grid_r
+
+
+def _collision_exact(
+    cfg: ScenarioConfig, mass: float, phi_int: StateVector
+) -> tuple[StateVector, PropagationResult, float]:
+    """The exact state at one mass, mapped to the (A_cm, A_int, S) grid at
+    t_final; the stacked relative run its diagnostics come from; and the
+    constant <T_R> that completes that run's <H_rel> to <H>.
+
+    In Jacobi coordinates H = T_R + H_rel, and T_R commutes with every other
+    term, so a Strang step is exp(-i T_R dt / hbar) times the Strang step of
+    H_rel.  The initial state is split across R | (A_int, r) into
+    orthonormal F_k(R) and weighted G_k; the G_k, padded with zeros to the
+    wider r grid, run as one stacked (k, A_int, r) state under H_rel, and
+    each F_k takes the free phase of the whole run at once.  The F_k stay
+    orthonormal and the G_k orthogonal, so the norm, <H_rel> and
+    <H_coupling> of the stacked state are those of the whole, and
+    <T_R> = sum_k s_k^2 <F_k|T_R|F_k> is constant.
+
+    At the final time the state is evaluated at each X_j and at every x of
+    the wider window: F_k((1 - w) X_j + w x) is summed from its Fourier
+    series, and G_k(x - X_j) is shifted spectrally.  The particle grid is
+    periodic, so what lies beyond its window is folded back into it, as a
+    propagation on that grid would have carried it round.  The mapped
+    state's own norm, <H> and <H_coupling> under the grid H must match the
+    stacked run's.
+    """
+    psi0, grid_r = _jacobi_start(cfg, mass, phi_int)
+    split = schmidt_decompose(psi0, Bipartition([LABEL_R], [LABEL_INT, LABEL_S]))
+    weights = split.coefficients
+    pad = grid_r.n_points // 4
+    stacked = StateVector(
+        Space((Factor.level(LABEL_K, split.rank), *phi_int.space.factors,
+               Factor.coordinate(LABEL_S, grid_r))),
+        np.pad([c * g.amplitudes for c, g in zip(weights, split.right_states)],
+               ((0, 0), (0, 0), (pad, pad))),
+    )
+    run = evolve_exact(stacked, _relative_hamiltonian(cfg, mass), cfg.dt, _steps_for(cfg),
+                       cfg.checkpoint_every)
+    h_big_r = HamiltonianSpec(kinetic={LABEL_R: mass + cfg.particle.mass}, hbar=cfg.hbar)
+    _, t_big_r, _ = matrix_elements(split.left_states, h_big_r)
+    kinetic_big_r = float(weights**2 @ t_big_r.diagonal().real)
+
+    grid_cm, _ = _cm_setup(cfg, mass)
+    grid_big_r = psi0.space.factor(LABEL_R).grid
+    w = cfg.particle.mass / (mass + cfg.particle.mass)
+    kappa = grid_big_r.wavenumbers()
+    t_final = run.trajectory[-1][0]
+    free = np.exp(-1j * cfg.hbar * kappa**2 * t_final / (2.0 * (mass + cfg.particle.mass)))
+    spectra = np.fft.fft([f.amplitudes for f in split.left_states], axis=1)
+    spectra *= free / grid_big_r.n_points
+    # exp(i kappa (R_ij - R_min)) = exp(i kappa (1 - w) (X_j - X_min)) exp(i kappa w (x_i - x_min))
+    from_cm = np.exp(1j * np.outer((1.0 - w) * (grid_cm.positions() - grid_cm.x_min), kappa))
+    from_r = np.exp(1j * np.outer(kappa, w * (grid_r.positions() - grid_r.x_min)))
+    shift = np.exp(-1j * np.outer(grid_cm.positions(), grid_r.wavenumbers()))[:, None, :]
+    g_spectra = np.fft.fft(run.final.amplitudes, axis=-1)
+    wide = np.zeros((grid_cm.n_points, *run.final.space.dims[1:]), dtype=np.complex128)
+    for f_spectrum, g_spectrum in zip(spectra, g_spectra):
+        wide += ((from_cm * f_spectrum) @ from_r)[:, None, :] * np.fft.ifft(shift * g_spectrum)
+    # Point i of the particle window is point pad + i of the wider one, and
+    # its image one particle window away is point pad + i + 2 pad, modulo
+    # the wider window's 4 pad points.
+    folded = np.roll(wide, -pad, axis=-1).reshape(*wide.shape[:-1], 2, -1).sum(axis=-2)
+    final = StateVector(Space((Factor.coordinate(LABEL_CM, grid_cm), *psi0.space.factors[1:])),
+                        folded)
+
+    # The mapped state's diagnostics under the grid H; this zero-step call
+    # also checks dt against that H.
+    check = evolve_exact(final, _collision_hamiltonian(cfg, mass), cfg.dt, 0)
+    last = run.trajectory[-1][1]
+    for what, full, jacobi in (
+            ("norm", check.final.norm, last.norm),
+            ("<H>", check.energies[0], run.energies[-1] + kinetic_big_r),
+            ("<H_coupling>", check.couplings[0], run.couplings[-1])):
+        if abs(full - jacobi) > JACOBI_TOL * max(1.0, abs(full)):
+            raise PropagationError(
+                f"final {what} of the mapped state ({full!r}) differs from that of "
+                f"the stacked relative run ({jacobi!r}) by more than {JACOBI_TOL:g} "
+                "relative"
+            )
+    return final, run, kinetic_big_r
+
+
 def _collision_point(
-    cfg: ScenarioConfig, mass: float, phi_int: StateVector, psi_s: StateVector,
+    cfg: ScenarioConfig, mass: float, phi_int: StateVector,
     residual_norm: float, relative: StateVector,
 ) -> CollisionPoint:
     """One mass of the sweep; `relative` is the sweep's factorized relative
     state at t_final, which does not depend on the mass."""
-    psi0, h = _collision_start(cfg, mass, phi_int, psi_s)
-    exact = evolve_exact(psi0, h, cfg.dt, _steps_for(cfg), cfg.checkpoint_every)
-    worst_initial, worst_final = _check_three_periods(cfg, exact)
-    energy_drift = _energy_drift(exact.energies)
-    # Only the final state is read from here on; the other checkpoint states
-    # are released before the free packet's run and the density matrices.
-    final, norm_drift = exact.final, exact.norm_drift
-    del exact
+    final, run, kinetic_big_r = _collision_exact(cfg, mass, phi_int)
+    worst_initial, worst_final = _check_three_periods(cfg, run)
+    energy_drift = _energy_drift([e + kinetic_big_r for e in run.energies])
+    norm_drift = run.norm_drift
 
     phi_free = _free_packet(cfg, mass)
     deficit = fidelity_deficit(final, tensor_product([phi_free, relative]))
@@ -672,6 +799,7 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
         raise ValidationError(f"config is for scenario {cfg.scenario!r}, not collision")
     (psi_s,) = _initial_packets(cfg)[LABEL_S]
     phi_int = level_state(LABEL_INT, cfg.internal.state)
+    start = tensor_product([phi_int, psi_s])
     masses = cfg.center_of_mass.masses
     for mass in masses:
         initial_coupling = abs(interaction_energy(*_collision_start(cfg, mass, phi_int, psi_s)))
@@ -680,11 +808,14 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
                 f"interaction is not negligible at the start: |<H_coupling>| = "
                 f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
             )
+        # The relative run's kinetic mass is mu < m, so its bound on dt can
+        # be the tighter one; it is checked before anything propagates.
+        check_time_step(start.space, _relative_hamiltonian(cfg, mass), cfg.dt)
     residuals = _collision_residual(cfg, phi_int, psi_s)
-    relative = evolve_factorized(tensor_product([phi_int, psi_s]),
-                                 _collision_hamiltonian(cfg, None), cfg.dt, _steps_for(cfg))
+    relative = evolve_factorized(start, _collision_hamiltonian(cfg, None), cfg.dt,
+                                 _steps_for(cfg))
     return CollisionReport([
-        _collision_point(cfg, m, phi_int, psi_s, r, relative)
+        _collision_point(cfg, m, phi_int, r, relative)
         for m, r in zip(masses, residuals)
     ])
 

@@ -22,7 +22,7 @@ from framesim.scenarios import (
 )
 
 from conftest import fast_collision_dict, fast_measurement_dict
-from oracles import binomial_3sigma
+from oracles import binomial_3sigma, grid_collision_exact
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,8 @@ def test_collision_propagates_residual_once(monkeypatch):
     original = fs.dynamics.evolve_exact
 
     def short(psi0, h, dt, steps, checkpoint_every=100):
-        calls[psi0.space.dims, h.kinetic.get("A_cm")] += 1
+        kinetic = tuple(sorted(h.kinetic.items()))
+        calls[psi0.space.dims, kinetic, steps > 0] += 1
         return original(psi0, h, dt, min(steps, 2), checkpoint_every)
 
     # Each start is checked uncoupled once.
@@ -217,18 +218,86 @@ def test_collision_propagates_residual_once(monkeypatch):
     cfg = ScenarioConfig.from_dict(raw)
     report = run_collision(cfg)
     cm = cfg.center_of_mass
+    m = cfg.particle.mass
     # The residual window and the factorized relative state do not depend on
     # the mass: each is propagated once per sweep.
-    assert calls[(cm.residual_points, 2, 512), None] == 1
-    assert calls[(cfg.internal.dim, cfg.particle.grid.points), None] == 1
+    assert calls[(cm.residual_points, 2, 512), (("S", m),), True] == 1
+    assert calls[(2, 512), (("S", m),), True] == 1
     assert starts == Counter(cm.masses)
     for mass in cm.masses:
-        assert calls[(cm.points, 2, 512), mass] == 1
-        assert calls[(cm.points,), mass] == 1  # the free center-of-mass packet
-    assert sum(calls.values()) == 2 * len(cm.masses) + 2
+        # One stacked relative run with the reduced mass, over the Schmidt
+        # terms of the start; one zero-step check of the state mapped back
+        # to the grid; the free center-of-mass packet.
+        mu = (("S", m * mass / (m + mass)),)
+        (stacked,) = [dims for dims, kinetic, steps in calls if kinetic == mu]
+        assert len(stacked) == 3 and 1 < stacked[0] < 16 and calls[stacked, mu, True] == 1
+        assert calls[(cm.points, 2, 512), (("A_cm", mass), ("S", m)), False] == 1
+        assert calls[(cm.points,), (("A_cm", mass),), True] == 1
+    assert sum(calls.values()) == 3 * len(cm.masses) + 2
     scaled = [p.residual_norm * p.mass for p in report.points]
     assert scaled[0] > 0.0
     assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def jacobi_and_grid_records():
+    """Records of the fast collision over three masses, from the shipped
+    Jacobi run and with the grid oracle in its place."""
+    raw = fast_collision_dict()
+    raw["center_of_mass"]["masses"] = [100.0, 1000.0, 10000.0]
+    cfg = ScenarioConfig.from_dict(raw)
+    jacobi = run_collision(cfg).to_records()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("framesim.scenarios._collision_exact", grid_collision_exact)
+        grid = run_collision(cfg).to_records()
+    return jacobi, grid
+
+
+def numbers(record: dict) -> dict:
+    """Every number of a record by field (list entries indexed)."""
+    out = {}
+    for key, value in record.items():
+        items = enumerate(np.ravel(value)) if isinstance(value, list) else [(None, value)]
+        for i, v in items:
+            if isinstance(v, (int, float, np.number)) and not isinstance(v, bool):
+                out[key if i is None else f"{key}[{i}]"] = float(v)
+    return out
+
+
+def test_collision_matches_grid_oracle(jacobi_and_grid_records):
+    """Every collision_point field of the Jacobi run equals the grid run's
+    within 1e-7 relative (measured: 2.2e-8 for energy_drift, <= 1.5e-9 for
+    the rest); fields at rounding level, such as norm_drift, within 1e-13
+    absolute (measured: 2.8e-14)."""
+    jacobi, grid = jacobi_and_grid_records
+    assert [r["record"] for r in jacobi] == [r["record"] for r in grid]
+    points = [(j, g) for j, g in zip(jacobi, grid) if j["record"] == "collision_point"]
+    assert len(points) == 3
+    for j, g in points:
+        assert j["degenerate_groups"] == g["degenerate_groups"]
+        got, want = numbers(j), numbers(g)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-7, abs=1e-13), (j["mass"], key)
+
+
+def test_collision_rejects_a_mismatched_mapping(monkeypatch):
+    """A stacked relative state that differs from the one whose diagnostics
+    the run reports fails the mapped state's cross-check."""
+    original = fs.dynamics.evolve_exact
+
+    def corrupt(psi0, h, dt, steps, checkpoint_every=100):
+        result = original(psi0, h, dt, steps, checkpoint_every)
+        if psi0.space.has("k"):
+            amps = result.final.amplitudes.copy()
+            amps[0] *= 1.0 + 1e-6
+            result.final = StateVector(result.final.space, amps)
+        return result
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", corrupt)
+    cfg = ScenarioConfig.from_dict(fast_collision_dict())
+    with pytest.raises(PropagationError, match="stacked relative run"):
+        run_collision(cfg)
 
 
 def test_collision_requires_collision_config():
