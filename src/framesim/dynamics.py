@@ -47,7 +47,9 @@ carries explicit anchor-coordinate dependence.  The collision's exact run
 needs nothing more: in Jacobi coordinates its coupling is a profile of the
 relative coordinate alone (an anchor frozen at 0), and its stacked Schmidt
 terms are one more factor that no term acts on, which every operator part
-broadcasts over.
+broadcasts over.  The residual's anchor-resolved state comes the same way,
+from one stacked relative run of plane waves; only its cross-check
+evaluates a coupling anchored to the window's positions.
 """
 
 from __future__ import annotations

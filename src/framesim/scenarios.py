@@ -17,7 +17,10 @@ The collision's heavy subsystem is propagated in its intrinsic frame, the
 center-of-mass frame.  In Jacobi coordinates its free motion separates from
 the relative motion that the coupling acts on, so each mass's exact run is
 one small stacked relative run, mapped to the heavy and light grids only at
-t_final (_collision_exact).
+t_final (_collision_exact).  The residual window is a relative run too:
+its anchors share one H_rel, so the plane waves of the particle packet run
+once as one stacked state, summed per anchor at t_final
+(_collision_residual).
 
 Absorption in the measurement scenario is modeled by static trapping wells
 that hold the absorbed particle near the heavy system; this is a simulator
@@ -77,6 +80,7 @@ from .hilbert import (
 from .schmidt import (
     Bipartition,
     BranchSampler,
+    DEFAULT_TRUNC_TOL,
     coefficient_matrix,
     entanglement_entropy,
     schmidt_decompose,
@@ -97,6 +101,12 @@ GRAM_TOL = 1e-12
 # The collision's mapped state against its relative run: measured 5e-15 on
 # the shipped grids, 5e-10 where the packet crosses the particle window.
 JACOBI_TOL = 1e-8
+# The residual window's mapped state against its anchor stack.  Its anchors
+# are not multiples of the particle spacing, so the spectral shift meets g
+# at other points than the relative run did: measured 1.1e-15 on the shipped
+# grids, 4.9e-8 on <H_coupling> where a 256-point particle grid barely
+# resolves g |psi|^2.
+WINDOW_TOL = 1e-7
 COEFF_NORM_TOL = 1e-10
 # Branch draws per chunk when the measurement counts its outcomes.
 TRIAL_CHUNK = 1 << 20
@@ -607,27 +617,87 @@ def _collision_start(
 def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     """Residual of the dropped center-of-mass kinetic term, per configured mass.
 
-    The relative state is evolved with the anchor coordinate as an explicit
-    parameter (uniform weight, no center-of-mass kinetic term) on a window
-    wide enough that the collision misses the particle entirely at the window
-    edges, keeping the state periodic-smooth for the spectral derivative.
-    That propagation does not depend on the mass, so it runs once per sweep;
-    each mass enters only through P^2 / 2 mass on its final state.
+    The relative state is resolved over anchor positions X_j (uniform
+    weight, no center-of-mass kinetic term): anchor X_j holds the particle
+    under H_rel = T_r + g(r) K + H_int in r = x - X_j, on the particle's own
+    periodic grid.  That start is psi_s(r + X_j) = sum_n exp(i k_n X_j)
+    chi_n(r), with chi_n the plane wave of psi_s's Fourier coefficient c_n,
+    so one stacked run of the modes with |c_n| above the truncation
+    tolerance serves every anchor (or of the shifted starts themselves,
+    where the anchors are fewer).  At t_final one matrix product sums each
+    anchor's state Phi_j(r), and a spectral shift evaluates it at
+    r = x - X_j.  No term depends on the mass, so the run is made once per
+    sweep; each mass enters only through P^2 / 2 mass on that state.
+
+    The mapped state's norm, <H> and <H_coupling> under the grid H must
+    match the anchor stack's under H_rel.  H_rel carries g(r) round the
+    particle grid, so the check's grid H takes g at the nearest periodic
+    image of x - X_j.  Evaluated without images, g(x - X_j) is cut at the
+    particle window's seam, and the anchors within the coupling's reach of
+    it hold other states: on the shipped grids they differ by up to 4.2e-6
+    for X_j < -22, and residual_norm by 2.6e-10 relative.
     """
-    psi0 = tensor_product([_residual_window(cfg), phi_int, psi_s])
+    window = _residual_window(cfg)
+    anchors = window.space.factors[0].grid.positions()
+    grid_x = psi_s.space.factors[0].grid
+    k = grid_x.wavenumbers()
+    spectrum = np.fft.fft(psi_s.amplitudes)
+    keep = np.abs(spectrum) >= DEFAULT_TRUNC_TOL * np.abs(spectrum).max()
+    waves = spectrum[keep, None] * np.exp(
+        1j * np.outer(k[keep], grid_x.positions() - grid_x.x_min)) / grid_x.n_points
+    weights = np.exp(1j * np.outer(anchors, k[keep]))
+    if len(waves) > len(anchors):
+        waves, weights = weights @ waves, np.eye(len(anchors))
+    stacked = StateVector(
+        Space((Factor.level(LABEL_K, len(waves)), *phi_int.space.factors, *psi_s.space.factors)),
+        waves[:, None, :] * phi_int.amplitudes[:, None],
+    )
+    h_rel = _relative_hamiltonian(cfg, None)
     steps = _steps_for(cfg)
-    final = evolve_exact(psi0, _collision_hamiltonian(cfg, None), cfg.dt, steps,
-                         checkpoint_every=max(steps, 1)).final
-    return [factorization_residual(final, m, cfg.hbar, LABEL_CM)
+    final = evolve_exact(stacked, h_rel, cfg.dt, steps, max(steps, 1)).final.amplitudes
+    relative = (weights @ final.reshape(len(waves), -1)).reshape(len(anchors), *final.shape[1:])
+    relative *= window.amplitudes[:, None, None]
+    spectra = np.fft.fft(relative, axis=-1)
+    spectra *= np.exp(-1j * np.outer(anchors, k))[:, None, :]
+    space = Space((*window.space.factors, *stacked.space.factors[1:]))
+    mapped = StateVector(space, np.fft.ifft(spectra, axis=-1, out=spectra))
+
+    # The check's grid H takes g at the nearest periodic image of x - X_j,
+    # as H_rel does on the particle's periodic grid.  It comes first: the
+    # benchmark's kernel probe times the first propagation of this shape.
+    h = _collision_hamiltonian(cfg, None)
+    period, g = grid_x.x_max - grid_x.x_min, h.interaction.profile
+    ring = replace(h.interaction, profile=lambda d: g(d - period * np.round(d / period)))
+    check = evolve_exact(mapped, replace(h, interaction=ring), cfg.dt, 0)
+    stack = evolve_exact(StateVector(space, relative), h_rel, cfg.dt, 0)
+    _check_mapping(check, stack.final.norm, stack.energies[0], stack.couplings[0],
+                   "relative anchor stack", WINDOW_TOL)
+    return [factorization_residual(mapped, m, cfg.hbar, LABEL_CM)
             for m in cfg.center_of_mass.masses]
 
 
-def _relative_hamiltonian(cfg: ScenarioConfig, mass: float) -> HamiltonianSpec:
+def _relative_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> HamiltonianSpec:
     """H_rel = p_r^2 / 2 mu + g(r) K + H_int on the relative coordinate r,
-    which the particle's label carries; the coupling's anchor is 0."""
+    which the particle's label carries; the coupling's anchor is 0.  With no
+    mass the anchor is infinitely heavy, and mu is the particle's mass."""
     h, m = _collision_hamiltonian(cfg, None), cfg.particle.mass
-    return replace(h, kinetic={LABEL_S: m * mass / (m + mass)},
-                   interaction=h.interaction.frozen_at(0.0))
+    mu = m if mass is None else m * mass / (m + mass)
+    return replace(h, kinetic={LABEL_S: mu}, interaction=h.interaction.frozen_at(0.0))
+
+
+def _check_mapping(mapped: PropagationResult, norm: float, energy: float,
+                   coupling: float, source: str, tol: float) -> None:
+    """The norm, <H> and <H_coupling> of a state mapped to the grid (a
+    zero-step run under the grid H) against those of the relative `source`
+    it was mapped from, within tol * max(1, |value|)."""
+    for what, full, relative in (("norm", mapped.final.norm, norm),
+                                 ("<H>", mapped.energies[0], energy),
+                                 ("<H_coupling>", mapped.couplings[0], coupling)):
+        if abs(full - relative) > tol * max(1.0, abs(full)):
+            raise PropagationError(
+                f"final {what} of the mapped state ({full!r}) differs from that of "
+                f"the {source} ({relative!r}) by more than {tol:g} relative"
+            )
 
 
 def _jacobi_start(
@@ -730,17 +800,8 @@ def _collision_exact(
     # The mapped state's diagnostics under the grid H; this zero-step call
     # also checks dt against that H.
     check = evolve_exact(final, _collision_hamiltonian(cfg, mass), cfg.dt, 0)
-    last = run.trajectory[-1][1]
-    for what, full, jacobi in (
-            ("norm", check.final.norm, last.norm),
-            ("<H>", check.energies[0], run.energies[-1] + kinetic_big_r),
-            ("<H_coupling>", check.couplings[0], run.couplings[-1])):
-        if abs(full - jacobi) > JACOBI_TOL * max(1.0, abs(full)):
-            raise PropagationError(
-                f"final {what} of the mapped state ({full!r}) differs from that of "
-                f"the stacked relative run ({jacobi!r}) by more than {JACOBI_TOL:g} "
-                "relative"
-            )
+    _check_mapping(check, run.trajectory[-1][1].norm, run.energies[-1] + kinetic_big_r,
+                   run.couplings[-1], "stacked relative run", JACOBI_TOL)
     return final, run, kinetic_big_r
 
 

@@ -166,3 +166,25 @@ def grid_collision_exact(cfg, mass: float, phi_int):
     psi0, h = scenarios._collision_start(cfg, mass, phi_int, psi_s)
     run = evolve_exact(psi0, h, cfg.dt, scenarios._steps_for(cfg), cfg.checkpoint_every)
     return run.final, run, 0.0
+
+
+def grid_collision_residual(cfg, phi_int, psi_s) -> list[float]:
+    """The collision's residual per configured mass, in the form of
+    `scenarios._collision_residual`, from an anchor-resolved lab-frame run.
+
+    The window of anchor positions X, each with the particle packet at its
+    start, is propagated as one (A_cm, A_int, S) array under the collision
+    H with no center-of-mass kinetic term: the coupling g(x - X) is
+    evaluated at each anchor without periodic images, and nothing moves X.
+    Each mass then enters through P^2 / 2 mass on the final state.
+    """
+    from framesim import scenarios
+    from framesim.dynamics import evolve_exact, factorization_residual
+    from framesim.hilbert import tensor_product
+
+    psi0 = tensor_product([scenarios._residual_window(cfg), phi_int, psi_s])
+    steps = scenarios._steps_for(cfg)
+    final = evolve_exact(psi0, scenarios._collision_hamiltonian(cfg, None), cfg.dt, steps,
+                         max(steps, 1)).final
+    return [factorization_residual(final, m, cfg.hbar, "A_cm")
+            for m in cfg.center_of_mass.masses]

@@ -47,3 +47,13 @@ def test_tracer_installs(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_kernel_probe_times_the_anchor_resolved_step():
+    # The 256x2x512 probe times the residual window's step on the grid: the
+    # coupling g(x - X) anchored to the window's positions, which no kinetic
+    # term moves.
+    _, (psi0, h, _) = load_launch()._capture(ROOT / "configs/collision.json", "256x2x512")
+    assert psi0.space.has("A_cm")
+    assert h.interaction.anchor == "A_cm"
+    assert "A_cm" not in h.kinetic

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import framesim as fs
+from framesim.cli import EXIT_RUNTIME, main
 from framesim.errors import PropagationError, ValidationError
 from framesim.hilbert import Factor, Grid, Space, StateVector, make_gaussian, tensor_product
 from framesim.scenarios import (
@@ -22,7 +23,7 @@ from framesim.scenarios import (
 )
 
 from conftest import fast_collision_dict, fast_measurement_dict
-from oracles import binomial_3sigma, grid_collision_exact
+from oracles import binomial_3sigma, grid_collision_exact, grid_collision_residual
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,15 @@ def test_collision_propagates_residual_once(monkeypatch):
     cm = cfg.center_of_mass
     m = cfg.particle.mass
     # The residual window and the factorized relative state do not depend on
-    # the mass: each is propagated once per sweep.
-    assert calls[(cm.residual_points, 2, 512), (("S", m),), True] == 1
+    # the mass: each is propagated once per sweep.  The window is one stacked
+    # run of the packet's plane waves, fewer than the anchors here, under the
+    # particle's own kinetic mass; its state mapped to the anchors is checked
+    # by two zero-step evaluations, under the grid H and under H_rel.
+    (waves,) = [dims for dims, kinetic, steps in calls
+                if kinetic == (("S", m),) and steps and len(dims) == 3]
+    assert 16 < waves[0] < cm.residual_points and waves[1:] == (2, 512)
+    assert calls[waves, (("S", m),), True] == 1
+    assert calls[(cm.residual_points, 2, 512), (("S", m),), False] == 2
     assert calls[(2, 512), (("S", m),), True] == 1
     assert starts == Counter(cm.masses)
     for mass in cm.masses:
@@ -233,7 +241,7 @@ def test_collision_propagates_residual_once(monkeypatch):
         assert len(stacked) == 3 and 1 < stacked[0] < 16 and calls[stacked, mu, True] == 1
         assert calls[(cm.points, 2, 512), (("A_cm", mass), ("S", m)), False] == 1
         assert calls[(cm.points,), (("A_cm", mass),), True] == 1
-    assert sum(calls.values()) == 3 * len(cm.masses) + 2
+    assert sum(calls.values()) == 3 * len(cm.masses) + 4
     scaled = [p.residual_norm * p.mass for p in report.points]
     assert scaled[0] > 0.0
     assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
@@ -242,13 +250,14 @@ def test_collision_propagates_residual_once(monkeypatch):
 @pytest.fixture(scope="module")
 def jacobi_and_grid_records():
     """Records of the fast collision over three masses, from the shipped
-    Jacobi run and with the grid oracle in its place."""
+    Jacobi and plane-wave runs and with the grid oracles in their place."""
     raw = fast_collision_dict()
     raw["center_of_mass"]["masses"] = [100.0, 1000.0, 10000.0]
     cfg = ScenarioConfig.from_dict(raw)
     jacobi = run_collision(cfg).to_records()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("framesim.scenarios._collision_exact", grid_collision_exact)
+        mp.setattr("framesim.scenarios._collision_residual", grid_collision_residual)
         grid = run_collision(cfg).to_records()
     return jacobi, grid
 
@@ -279,6 +288,63 @@ def test_collision_matches_grid_oracle(jacobi_and_grid_records):
         assert got.keys() == want.keys()
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-7, abs=1e-13), (j["mass"], key)
+
+
+def test_collision_residual_matches_grid_oracle(jacobi_and_grid_records):
+    """The plane-wave residual equals the anchor-resolved grid run's within
+    5e-10 relative at every mass (measured: 2.6e-10, from the window's seam,
+    where the grid H cuts g(x - X) and H_rel carries it round)."""
+    jacobi, grid = jacobi_and_grid_records
+    residuals = [r["residual_norms"] for r in (jacobi[-1], grid[-1])]
+    assert residuals[0] == pytest.approx(residuals[1], rel=5e-10, abs=0.0)
+
+
+def test_residual_with_fewer_anchors_than_plane_waves(monkeypatch):
+    """With fewer anchors than kept plane waves the stacked run holds the
+    shifted starts, and its residual still equals the grid run's within
+    5e-11 relative (measured: 5.2e-12)."""
+    raw = fast_collision_dict()
+    raw["center_of_mass"]["residual_points"] = 64
+    cfg = ScenarioConfig.from_dict(raw)
+    (psi_s,) = fs.scenarios._initial_packets(cfg)["S"]
+    phi_int = fs.level_state("A_int", cfg.internal.state)
+    stacks, original = [], fs.dynamics.evolve_exact
+
+    def spy(psi0, h, dt, steps, checkpoint_every=100):
+        if psi0.space.has("k"):
+            stacks.append(psi0.space.dims)
+        return original(psi0, h, dt, steps, checkpoint_every)
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", spy)
+    got = fs.scenarios._collision_residual(cfg, phi_int, psi_s)
+    assert stacks == [(64, 2, 512)]
+    want = grid_collision_residual(cfg, phi_int, psi_s)
+    assert got == pytest.approx(want, rel=5e-11, abs=0.0)
+
+
+def test_collision_rejects_a_mismatched_residual_mapping(monkeypatch, tmp_path, capsys):
+    """A mapped residual window that differs from its relative anchor stack
+    fails the cross-check: a simulation error, exit code 4 on the command
+    line."""
+    original = fs.dynamics.evolve_exact
+
+    def corrupt(psi0, h, dt, steps, checkpoint_every=100):
+        # The mapped state alone is evaluated under the grid H with no
+        # center-of-mass kinetic term.
+        ia = h.interaction
+        if ia is not None and ia.anchor == "A_cm" and "A_cm" not in h.kinetic:
+            psi0 = StateVector(psi0.space, psi0.amplitudes * (1.0 + 1e-6))
+        return original(psi0, h, dt, steps, checkpoint_every)
+
+    monkeypatch.setattr("framesim.scenarios.evolve_exact", corrupt)
+    raw = fast_collision_dict()
+    with pytest.raises(PropagationError, match="relative anchor stack"):
+        run_collision(ScenarioConfig.from_dict(raw))
+    path = tmp_path / "collision.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "relative anchor stack" in err and "Traceback" not in err
 
 
 def test_collision_rejects_a_mismatched_mapping(monkeypatch):
