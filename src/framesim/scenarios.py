@@ -16,11 +16,12 @@ approximation then improves as 1/mass along a sweep.
 The collision's heavy subsystem is propagated in its intrinsic frame, the
 center-of-mass frame.  In Jacobi coordinates its free motion separates from
 the relative motion that the coupling acts on, so each mass's exact run is
-one small stacked relative run, mapped to the heavy and light grids only at
-t_final (_collision_exact).  The residual window is a relative run too:
-its anchors share one H_rel, so the plane waves of the particle packet run
-once as one stacked state, summed per anchor at t_final
-(_collision_residual).
+one small stacked relative run from its start's split (_jacobi_split),
+mapped to the heavy and light grids only at t_final (_collision_exact).
+The residual window is a relative run too: its anchors share one H_rel, so
+the plane waves of the particle packet run once as one stacked state,
+summed per anchor at t_final (_collision_residual).  The measurement runs
+its compounds as one stacked state and its probe packets as another.
 
 Absorption in the measurement scenario is modeled by static trapping wells
 that hold the absorbed particle near the heavy system; this is a simulator
@@ -81,6 +82,7 @@ from .schmidt import (
     Bipartition,
     BranchSampler,
     DEFAULT_TRUNC_TOL,
+    SchmidtResult,
     coefficient_matrix,
     entanglement_entropy,
     schmidt_decompose,
@@ -309,9 +311,10 @@ class ScenarioConfig:
 
     def _check_discretization(self) -> None:
         """Dry run of the setup: build every grid, the packets and level
-        state, and at each mass the run's space and Hamiltonian, and test dt
-        against it, so that a bad packet, level state or matrix, coupling
-        width or time step fails before a run propagates anything."""
+        state, and at each mass the run's space and Hamiltonian (and the
+        collision's relative H), and test dt against them, so that a bad
+        packet, level state or matrix, coupling width or time step fails
+        before a run propagates anything."""
         if self.scenario == "collision":
             with _at("center_of_mass residual window"):
                 _residual_window(self)
@@ -338,6 +341,10 @@ class ScenarioConfig:
                      else _measurement_hamiltonians(self, mass)[2])
                 check_time_step(Space((Factor.coordinate(LABEL_CM, grid_cm), *factors)),
                                 h, self.dt)
+                if self.scenario == "collision":
+                    # The relative run's kinetic mass is mu < m, so its bound
+                    # on dt can be the tighter one.
+                    check_time_step(Space(factors), _relative_hamiltonian(self, mass), self.dt)
 
 
 @contextmanager
@@ -518,6 +525,22 @@ def _energy_drift(energies: list[float]) -> float:
     return max(abs(e - ref) for e in energies) / scale
 
 
+def _check_mapping(check: PropagationResult, norm: float, energy: float,
+                   coupling: float, source: str, tol: float) -> None:
+    """The norm, <H> and <H_coupling> of a state on the grid (a zero-step
+    run under the grid H) against the values of its `source`: the relative
+    run it was mapped from, or the Gram sums of the terms it was assembled
+    from; within tol * max(1, |value|)."""
+    for what, full, value in (("norm", check.final.norm, norm),
+                              ("<H>", check.energies[0], energy),
+                              ("<H_coupling>", check.couplings[0], coupling)):
+        if abs(full - value) > tol * max(1.0, abs(full)):
+            raise PropagationError(
+                f"final {what} on the grid ({full!r}) differs from its {source} "
+                f"({value!r}) by more than {tol:g} relative"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Collision scenario
 # ---------------------------------------------------------------------------
@@ -604,16 +627,6 @@ def _collision_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> Hamiltoni
     )
 
 
-def _collision_start(
-    cfg: ScenarioConfig, mass: float, phi_int: StateVector, psi_s: StateVector
-) -> tuple[StateVector, HamiltonianSpec]:
-    """Initial state and Hamiltonian at one mass on the (A_cm, A_int, S)
-    grid, which run_collision checks uncoupled before anything propagates."""
-    grid_cm, cm_params = _cm_setup(cfg, mass)
-    psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, LABEL_CM)
-    return psi0, _collision_hamiltonian(cfg, mass)
-
-
 def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     """Residual of the dropped center-of-mass kinetic term, per configured mass.
 
@@ -671,9 +684,10 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     check = evolve_exact(mapped, replace(h, interaction=ring), cfg.dt, 0)
     stack = evolve_exact(StateVector(space, relative), h_rel, cfg.dt, 0)
     _check_mapping(check, stack.final.norm, stack.energies[0], stack.couplings[0],
-                   "relative anchor stack", WINDOW_TOL)
-    return [factorization_residual(mapped, m, cfg.hbar, LABEL_CM)
-            for m in cfg.center_of_mass.masses]
+                   "value in the relative anchor stack", WINDOW_TOL)
+    # ||P^2 / 2M psi|| is ||P^2 / 2 psi|| / M.
+    unit = factorization_residual(mapped, 1.0, cfg.hbar, LABEL_CM)
+    return [unit / m for m in cfg.center_of_mass.masses]
 
 
 def _relative_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> HamiltonianSpec:
@@ -685,39 +699,27 @@ def _relative_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> Hamiltonia
     return replace(h, kinetic={LABEL_S: mu}, interaction=h.interaction.frozen_at(0.0))
 
 
-def _check_mapping(mapped: PropagationResult, norm: float, energy: float,
-                   coupling: float, source: str, tol: float) -> None:
-    """The norm, <H> and <H_coupling> of a state mapped to the grid (a
-    zero-step run under the grid H) against those of the relative `source`
-    it was mapped from, within tol * max(1, |value|)."""
-    for what, full, relative in (("norm", mapped.final.norm, norm),
-                                 ("<H>", mapped.energies[0], energy),
-                                 ("<H_coupling>", mapped.couplings[0], coupling)):
-        if abs(full - relative) > tol * max(1.0, abs(full)):
-            raise PropagationError(
-                f"final {what} of the mapped state ({full!r}) differs from that of "
-                f"the {source} ({relative!r}) by more than {tol:g} relative"
-            )
+def _wide_grid(cfg: ScenarioConfig) -> Grid:
+    """The relative run's r grid: the particle grid's spacing over twice its
+    window, centred on it, so that what leaves it does not wrap round."""
+    grid_x = cfg.particle.grid.to_grid()
+    half = 0.5 * (grid_x.x_max - grid_x.x_min)
+    return Grid(2 * grid_x.n_points, grid_x.x_min - half, grid_x.x_max + half)
 
 
-def _jacobi_start(
-    cfg: ScenarioConfig, mass: float, phi_int: StateVector
-) -> tuple[StateVector, Grid]:
+def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> SchmidtResult:
     """psi0 = packet(X) (x) phi_int (x) psi_s(x) on the (R, A_int, r) grid,
-    and the wider r grid the relative run uses.
+    checked uncoupled under H_rel and split across R | (A_int, r).
 
     R = (1 - w) X + w x with w = m / (M + m), and r = x - X, so X = R - w r
     and x = R + (1 - w) r.  psi0 is sampled with r on the particle grid.
-    The run's r grid has the same spacing over twice that window, centred
-    on it, so that what leaves the window does not wrap around in r.  The R
-    grid spans (1 - w) X + w x over the center-of-mass grid and that wider
-    window, with a spacing of at most (1 - w) times the center-of-mass
-    spacing.
+    The R grid spans (1 - w) X + w x over the center-of-mass grid and the
+    relative run's wider r window, with a spacing of at most (1 - w) times
+    the center-of-mass spacing.
     """
     grid_cm, cm_params = _cm_setup(cfg, mass)
     grid_x = cfg.particle.grid.to_grid()
-    half = 0.5 * (grid_x.x_max - grid_x.x_min)
-    grid_r = Grid(2 * grid_x.n_points, grid_x.x_min - half, grid_x.x_max + half)
+    grid_r = _wide_grid(cfg)
     w = cfg.particle.mass / (mass + cfg.particle.mass)
     lo = (1.0 - w) * grid_cm.x_min + w * grid_r.x_min
     hi = (1.0 - w) * grid_cm.x_max + w * grid_r.x_max
@@ -729,12 +731,18 @@ def _jacobi_start(
     plane = cm_params.amplitudes(big_r - w * r) * psi_s.amplitudes(big_r + (1.0 - w) * r)
     space = Space((Factor.coordinate(LABEL_R, grid_big_r), *phi_int.space.factors,
                    Factor.coordinate(LABEL_S, grid_x)))
-    psi0 = StateVector(space, plane[:, None, :] * phi_int.amplitudes[:, None])
-    return psi0.normalized(), grid_r
+    psi0 = StateVector(space, plane[:, None, :] * phi_int.amplitudes[:, None]).normalized()
+    initial_coupling = abs(interaction_energy(psi0, _relative_hamiltonian(cfg, mass)))
+    if initial_coupling > INTERACTION_TOL:
+        raise PropagationError(
+            f"interaction is not negligible at the start: |<H_coupling>| = "
+            f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
+        )
+    return schmidt_decompose(psi0, Bipartition([LABEL_R], [LABEL_INT, LABEL_S]))
 
 
 def _collision_exact(
-    cfg: ScenarioConfig, mass: float, phi_int: StateVector
+    cfg: ScenarioConfig, mass: float, split: SchmidtResult
 ) -> tuple[StateVector, PropagationResult, float]:
     """The exact state at one mass, mapped to the (A_cm, A_int, S) grid at
     t_final; the stacked relative run its diagnostics come from; and the
@@ -742,13 +750,13 @@ def _collision_exact(
 
     In Jacobi coordinates H = T_R + H_rel, and T_R commutes with every other
     term, so a Strang step is exp(-i T_R dt / hbar) times the Strang step of
-    H_rel.  The initial state is split across R | (A_int, r) into
-    orthonormal F_k(R) and weighted G_k; the G_k, padded with zeros to the
-    wider r grid, run as one stacked (k, A_int, r) state under H_rel, and
-    each F_k takes the free phase of the whole run at once.  The F_k stay
-    orthonormal and the G_k orthogonal, so the norm, <H_rel> and
-    <H_coupling> of the stacked state are those of the whole, and
-    <T_R> = sum_k s_k^2 <F_k|T_R|F_k> is constant.
+    H_rel.  `split` is the initial state's split across R | (A_int, r)
+    (_jacobi_split) into orthonormal F_k(R) and weighted G_k; the G_k,
+    padded with zeros to the wider r grid, run as one stacked (k, A_int, r)
+    state under H_rel, and each F_k takes the free phase of the whole run
+    at once.  The F_k stay orthonormal and the G_k orthogonal, so the norm,
+    <H_rel> and <H_coupling> of the stacked state are those of the whole,
+    and <T_R> = sum_k s_k^2 <F_k|T_R|F_k> is constant.
 
     At the final time the state is evaluated at each X_j and at every x of
     the wider window: F_k((1 - w) X_j + w x) is summed from its Fourier
@@ -758,13 +766,12 @@ def _collision_exact(
     state's own norm, <H> and <H_coupling> under the grid H must match the
     stacked run's.
     """
-    psi0, grid_r = _jacobi_start(cfg, mass, phi_int)
-    split = schmidt_decompose(psi0, Bipartition([LABEL_R], [LABEL_INT, LABEL_S]))
+    grid_r = _wide_grid(cfg)
     weights = split.coefficients
     pad = grid_r.n_points // 4
+    level, particle = split.right_states[0].space.factors
     stacked = StateVector(
-        Space((Factor.level(LABEL_K, split.rank), *phi_int.space.factors,
-               Factor.coordinate(LABEL_S, grid_r))),
+        Space((Factor.level(LABEL_K, split.rank), level, Factor.coordinate(LABEL_S, grid_r))),
         np.pad([c * g.amplitudes for c, g in zip(weights, split.right_states)],
                ((0, 0), (0, 0), (pad, pad))),
     )
@@ -775,7 +782,7 @@ def _collision_exact(
     kinetic_big_r = float(weights**2 @ t_big_r.diagonal().real)
 
     grid_cm, _ = _cm_setup(cfg, mass)
-    grid_big_r = psi0.space.factor(LABEL_R).grid
+    grid_big_r = split.left_states[0].space.factors[0].grid
     w = cfg.particle.mass / (mass + cfg.particle.mass)
     kappa = grid_big_r.wavenumbers()
     t_final = run.trajectory[-1][0]
@@ -794,24 +801,24 @@ def _collision_exact(
     # its image one particle window away is point pad + i + 2 pad, modulo
     # the wider window's 4 pad points.
     folded = np.roll(wide, -pad, axis=-1).reshape(*wide.shape[:-1], 2, -1).sum(axis=-2)
-    final = StateVector(Space((Factor.coordinate(LABEL_CM, grid_cm), *psi0.space.factors[1:])),
-                        folded)
+    final = StateVector(Space((Factor.coordinate(LABEL_CM, grid_cm), level, particle)), folded)
 
     # The mapped state's diagnostics under the grid H; this zero-step call
     # also checks dt against that H.
     check = evolve_exact(final, _collision_hamiltonian(cfg, mass), cfg.dt, 0)
     _check_mapping(check, run.trajectory[-1][1].norm, run.energies[-1] + kinetic_big_r,
-                   run.couplings[-1], "stacked relative run", JACOBI_TOL)
+                   run.couplings[-1], "value in the stacked relative run", JACOBI_TOL)
     return final, run, kinetic_big_r
 
 
 def _collision_point(
-    cfg: ScenarioConfig, mass: float, phi_int: StateVector,
+    cfg: ScenarioConfig, mass: float, split: SchmidtResult,
     residual_norm: float, relative: StateVector,
 ) -> CollisionPoint:
-    """One mass of the sweep; `relative` is the sweep's factorized relative
-    state at t_final, which does not depend on the mass."""
-    final, run, kinetic_big_r = _collision_exact(cfg, mass, phi_int)
+    """One mass of the sweep from its start's Jacobi split; `relative` is
+    the sweep's factorized relative state at t_final, which does not depend
+    on the mass."""
+    final, run, kinetic_big_r = _collision_exact(cfg, mass, split)
     worst_initial, worst_final = _check_three_periods(cfg, run)
     energy_drift = _energy_drift([e + kinetic_big_r for e in run.energies])
     norm_drift = run.norm_drift
@@ -860,24 +867,16 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
         raise ValidationError(f"config is for scenario {cfg.scenario!r}, not collision")
     (psi_s,) = _initial_packets(cfg)[LABEL_S]
     phi_int = level_state(LABEL_INT, cfg.internal.state)
-    start = tensor_product([phi_int, psi_s])
     masses = cfg.center_of_mass.masses
-    for mass in masses:
-        initial_coupling = abs(interaction_energy(*_collision_start(cfg, mass, phi_int, psi_s)))
-        if initial_coupling > INTERACTION_TOL:
-            raise PropagationError(
-                f"interaction is not negligible at the start: |<H_coupling>| = "
-                f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
-            )
-        # The relative run's kinetic mass is mu < m, so its bound on dt can
-        # be the tighter one; it is checked before anything propagates.
-        check_time_step(start.space, _relative_hamiltonian(cfg, mass), cfg.dt)
+    # Every start is checked uncoupled before anything propagates; only its
+    # Schmidt split is kept.
+    splits = [_jacobi_split(cfg, mass, phi_int) for mass in masses]
     residuals = _collision_residual(cfg, phi_int, psi_s)
-    relative = evolve_factorized(start, _collision_hamiltonian(cfg, None), cfg.dt,
-                                 _steps_for(cfg))
+    relative = evolve_factorized(tensor_product([phi_int, psi_s]),
+                                 _collision_hamiltonian(cfg, None), cfg.dt, _steps_for(cfg))
     return CollisionReport([
-        _collision_point(cfg, m, phi_int, r, relative)
-        for m, r in zip(masses, residuals)
+        _collision_point(cfg, m, split, r, relative)
+        for m, split, r in zip(masses, splits, residuals)
     ])
 
 
@@ -1050,20 +1049,32 @@ def _measurement_hamiltonians(
     return h_compound, h_b, replace(h_compound, kinetic={**h_compound.kinetic, **h_b.kinetic})
 
 
-def _assemble(weights, compounds: list[StateVector], probes: list[StateVector]) -> StateVector:
-    """sum_l w_l compound_l (x) b_l, contracted over l in one product so
-    that the result is the only full-size array."""
-    stacked = np.stack([c.amplitudes for c in compounds])
-    weighted = np.stack([w * b.amplitudes for w, b in zip(weights, probes)])
-    space = Space(compounds[0].space.factors + probes[0].space.factors)
-    return StateVector(space, np.tensordot(stacked, weighted, axes=(0, 0)))
+def _stack(states: list[StateVector]) -> StateVector:
+    """States of one space as one state whose first factor k indexes them."""
+    return StateVector(Space((Factor.level(LABEL_K, len(states)), *states[0].space.factors)),
+                       np.stack([s.amplitudes for s in states]))
+
+
+def _rows(stack: StateVector) -> list[StateVector]:
+    """The states of a stack, each on the space without k."""
+    space = Space(stack.space.factors[1:])
+    return [StateVector(space, amps) for amps in stack.amplitudes]
+
+
+def _assemble(weights, compounds: StateVector, probes: StateVector) -> StateVector:
+    """sum_l w_l compound_l (x) b_l from the two stacks, contracted over k
+    in one product so that the result is the only full-size array."""
+    space = Space(compounds.space.factors[1:] + probes.space.factors[1:])
+    weighted = weights[:, None] * probes.amplitudes
+    return StateVector(space, np.tensordot(compounds.amplitudes, weighted, axes=(0, 0)))
 
 
 def _gram_diagnostics(
-    weights, compound_runs, b_runs, h_compound: HamiltonianSpec, h_b: HamiltonianSpec
+    weights, compound_run, b_run, h_compound: HamiltonianSpec, h_b: HamiltonianSpec
 ) -> list[tuple[float, float, float]]:
     """Norm, <H> and <H_coupling> of sum_l w_l C_l(t) (x) B_l(t) at every
-    checkpoint, from L x L matrix elements of the compound and b checkpoints.
+    checkpoint, from L x L matrix elements of the rows of the compound and
+    b stacks' checkpoints.
 
     With H = H_c (x) 1 + 1 (x) T_b, overlaps G and matrix elements E of H_c
     and T_b, K those of the coupling, and * the entrywise product:
@@ -1074,11 +1085,9 @@ def _gram_diagnostics(
         return float((weights.conj() @ matrix @ weights).real)
 
     rows = []
-    for k in range(len(b_runs[0].trajectory)):
-        g_c, e_c, k_c = matrix_elements(
-            [run.trajectory[k][1] for run in compound_runs], h_compound
-        )
-        g_b, e_b, _ = matrix_elements([run.trajectory[k][1] for run in b_runs], h_b)
+    for (_, compounds), (_, probes) in zip(compound_run.trajectory, b_run.trajectory):
+        g_c, e_c, k_c = matrix_elements(_rows(compounds), h_compound)
+        g_b, e_b, _ = matrix_elements(_rows(probes), h_b)
         rows.append((math.sqrt(sandwich(g_c * g_b)), sandwich(e_c * g_b + g_c * e_b),
                      sandwich(k_c * g_b)))
     return rows
@@ -1110,8 +1119,11 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     acts on b as the free step or the identity, so the step is the compound
     step times the b step.  The state at each checkpoint is therefore
     exactly s * sum_l c_l compound_l(t) (x) b_l(t), with s the t = 0
-    normalization.  Its norm, <H> and <H_coupling> at every checkpoint are
-    sums over L x L matrix elements of the compound and b checkpoints
+    normalization.  The L compounds, each lifted to the auxiliary frame,
+    run as one state stacked over an index k that no term acts on, and so
+    do the L b packets: two propagations, each row bit-identical to a run
+    of its own.  The norm, <H> and <H_coupling> at every checkpoint are
+    sums over L x L matrix elements of the two stacks' rows
     (_gram_diagnostics).  Only the final sum is assembled; its own norm,
     <H> and <H_coupling>, from the grid operator a full propagation would
     use, must match the Gram values, and it is the state the report is
@@ -1135,19 +1147,16 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     ).norm
     weights = coeffs / pair_norm
     phi_int = level_state(LABEL_INT, cfg.internal.state)
-    phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
+    compounds = _stack([lift_to_auxiliary(phi_int, a, cm_params, grid_cm, LABEL_CM)
+                        for a in a_states])
 
     h_compound, h_b, h = _measurement_hamiltonians(cfg, mass)
     steps = _steps_for(cfg)
-    compound_runs = [
-        evolve_exact(tensor_product([phi_cm, phi_int, a]), h_compound, cfg.dt, steps,
-                     cfg.checkpoint_every)
-        for a in a_states
-    ]
-    b_runs = [evolve_exact(b, h_b, cfg.dt, steps, cfg.checkpoint_every) for b in b_states]
+    compound_run = evolve_exact(compounds, h_compound, cfg.dt, steps, cfg.checkpoint_every)
+    b_run = evolve_exact(_stack(b_states), h_b, cfg.dt, steps, cfg.checkpoint_every)
 
     norms, energies, couplings = zip(
-        *_gram_diagnostics(weights, compound_runs, b_runs, h_compound, h_b)
+        *_gram_diagnostics(weights, compound_run, b_run, h_compound, h_b)
     )
     norm_drift = max(abs(n - 1.0) for n in norms)
     energy_drift = _energy_drift(energies)
@@ -1159,19 +1168,8 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
 
     # The final state is assembled once; a zero-step propagation under the
     # full H checks the Gram identities on the state the report comes from.
-    check = evolve_exact(
-        _assemble(weights, [run.final for run in compound_runs],
-                  [run.final for run in b_runs]),
-        h, cfg.dt, 0,
-    )
-    for what, full, gram in (("norm", check.final.norm, norms[-1]),
-                             ("<H>", check.energies[0], energies[-1]),
-                             ("<H_coupling>", check.couplings[0], couplings[-1])):
-        if abs(full - gram) > GRAM_TOL * max(1.0, abs(full)):
-            raise PropagationError(
-                f"final {what} of the assembled state ({full!r}) differs from its "
-                f"Gram value ({gram!r}) by more than {GRAM_TOL:g} relative"
-            )
+    check = evolve_exact(_assemble(weights, compound_run.final, b_run.final), h, cfg.dt, 0)
+    _check_mapping(check, norms[-1], energies[-1], couplings[-1], "Gram value", GRAM_TOL)
 
     phi_free = _free_packet(cfg, mass)
     extraction = extract_relative_state(check.final, phi_free)
@@ -1182,7 +1180,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     expected = sorted((abs(c) for c in coeffs), reverse=True)
 
     # Freely evolved b components identify which branch realizes which outcome.
-    b_evolved = [run.final for run in b_runs]
+    b_evolved = _rows(b_run.final)
     outcome_of_branch = []
     branch_deficits = []
     for j in range(result.rank):
@@ -1192,8 +1190,8 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
         branch_deficits.append(1.0 - fids[outcome])
 
     # Independently evolved absorbed compounds, for the orthogonality report.
-    compounds = [extract_relative_state(run.final, phi_free).state for run in compound_runs]
-    compound_overlap = abs(inner_product(compounds[0], compounds[1]))
+    absorbed = [extract_relative_state(c, phi_free).state for c in _rows(compound_run.final)]
+    compound_overlap = abs(inner_product(absorbed[0], absorbed[1]))
 
     counts = [0] * len(coeffs)
     for j, n in enumerate(_branch_counts(BranchSampler(cfg.seeds.branch), result,

@@ -149,22 +149,27 @@ def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def grid_collision_exact(cfg, mass: float, phi_int):
+def grid_collision_exact(cfg, mass: float, split):
     """The collision's exact run at one mass on the (A_cm, A_int, S) grid,
     in the form of `scenarios._collision_exact`: the final state, the run
     whose checkpoints give the diagnostics, and the energy its <H> lacks
-    (none: the whole H propagates).
+    (none: the whole H propagates).  The Jacobi split is not used.
 
     The product of the heavy packet, the level state and the particle packet
-    is propagated as one array under the full grid H, with the coupling
-    anchored to the heavy coordinate.
+    is lifted to the auxiliary frame and propagated as one array under the
+    full grid H, with the coupling anchored to the heavy coordinate.
     """
     from framesim import scenarios
     from framesim.dynamics import evolve_exact
+    from framesim.frames import lift_to_auxiliary
+    from framesim.hilbert import level_state
 
     (psi_s,) = scenarios._initial_packets(cfg)["S"]
-    psi0, h = scenarios._collision_start(cfg, mass, phi_int, psi_s)
-    run = evolve_exact(psi0, h, cfg.dt, scenarios._steps_for(cfg), cfg.checkpoint_every)
+    phi_int = level_state("A_int", cfg.internal.state)
+    grid_cm, cm_params = scenarios._cm_setup(cfg, mass)
+    psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, "A_cm")
+    run = evolve_exact(psi0, scenarios._collision_hamiltonian(cfg, mass), cfg.dt,
+                       scenarios._steps_for(cfg), cfg.checkpoint_every)
     return run.final, run, 0.0
 
 

@@ -100,6 +100,9 @@ BAD_OVERRIDES = [
     ("dt=NaN", EXIT_VALIDATION),
     ("dt=Infinity", EXIT_VALIDATION),
     ("dt=0.03", EXIT_VALIDATION),  # above the anti-aliasing bound of about 0.0196
+    # mass 1: the relative run's reduced mass puts its bound below dt = 0.012
+    # (T_max = 701.839)
+    ("center_of_mass.masses=[1]", EXIT_VALIDATION),
     ('seeds.trials="x"', EXIT_VALIDATION),
     ("seeds.trials=1.5", EXIT_VALIDATION),
     ("seeds.branch=-1", EXIT_VALIDATION),

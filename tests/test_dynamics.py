@@ -293,6 +293,46 @@ def test_threaded_rows_equal_inline_rows(monkeypatch, thread_pools, levels):
         assert np.array_equal(inline.couplings, threaded.couplings)
 
 
+def stacked(states: list[StateVector]) -> StateVector:
+    """The states as one state whose first factor, k, indexes them."""
+    space = Space((Factor.level("k", len(states)), *states[0].space.factors))
+    return StateVector(space, np.stack([s.amplitudes for s in states]))
+
+
+def free_system(seed: int):
+    """A particle under its kinetic term and a potential: no level factor."""
+    rng = np.random.default_rng(seed)
+    space = Space((Factor.coordinate("S", fs.Grid(64, -8.0, 8.0)),))
+    h = fs.HamiltonianSpec(kinetic={"S": 1.3}, potentials={"S": rng.standard_normal(64)})
+    return random_state(space, seed + 1), h
+
+
+@pytest.mark.parametrize("system, cpus", [
+    (lambda: anchored_coupled_system(3), 2),
+    (lambda: free_system(5), 2),
+    (threaded_system, 1),
+    (threaded_system, 2),
+], ids=["levels", "no-levels", "slabs-inline", "slabs-threaded"])
+def test_stacked_rows_equal_their_own_runs(monkeypatch, thread_pools, system, cpus):
+    """A stack over an index factor that no term acts on propagates each row
+    bit for bit as that row's own run does, at every checkpoint: the
+    collision's Schmidt terms and plane waves, and the measurement's
+    compounds and b packets, rely on it."""
+    usable_cpus(monkeypatch, cpus)
+    psi, h = system()
+    rows = [psi, random_state(psi.space, 99)]
+    stack = fs.evolve_exact(stacked(rows), h, 1e-3, 5, 2)
+    assert len(stack.trajectory) == 4
+    for n, row in enumerate(rows):
+        own = fs.evolve_exact(row, h, 1e-3, 5, 2)
+        for (t1, a), (t2, b) in zip(stack.trajectory, own.trajectory, strict=True):
+            assert t1 == t2
+            assert np.array_equal(a.amplitudes[n], b.amplitudes)
+    # Only the large slabs on two CPUs share their rows with a helper thread.
+    threaded = system is threaded_system and cpus == 2
+    assert thread_pools == ([1] * 3 if threaded else [])
+
+
 def test_small_slabs_run_inline(monkeypatch, thread_pools):
     usable_cpus(monkeypatch, 2)
     psi, h = criterion_2_system()

@@ -9,6 +9,7 @@ tests catch it here."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -47,6 +48,38 @@ def test_tracer_installs(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+TRACED_RUN = """
+import sys, spans
+from framesim import cli
+spans.install(spans.Recorder(sys.argv[1], "guard"))
+sys.exit(cli.main(["run", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("scenario", ["collision", "measurement"])
+def test_traced_run_records_what_the_tracer_reads(tmp_path, scenario):
+    # The tracer reads its span attributes from the arguments and results of
+    # the names it wraps while a run is under way.
+    from conftest import fast_collision_dict, fast_measurement_dict
+
+    raw = fast_collision_dict() if scenario == "collision" else fast_measurement_dict()
+    config, trace = tmp_path / "config.json", tmp_path / "trace"
+    config.write_text(json.dumps(raw))
+    trace.mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "perfbench"])}
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(trace), str(config), str(tmp_path / "out")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = [s for path in sorted(trace.glob("spans-*.json"))
+             for s in json.loads(path.read_text())]
+    evolves = [s for s in spans if s["name"] == "dynamics.evolve_exact"]
+    assert evolves and all(s["checkpoint_bytes"] > 0 for s in evolves)
+    points = [s["mass"] for s in spans if s["name"] == "scenarios.mass_point"]
+    assert points == (raw["center_of_mass"]["masses"] if scenario == "collision" else [])
 
 
 def test_kernel_probe_times_the_anchor_resolved_step():

@@ -184,9 +184,12 @@ def test_collision_rejects_overlapping_start(no_propagation):
 def test_collision_checks_every_start_before_propagating(no_propagation):
     # At r0 = -8 the narrow packet of mass 1e4 starts uncoupled (|<H_c>| ~ 1e-15),
     # while the wide packet of mass 1 already overlaps the particle (~ 4e-6).
+    # dt = 0.004 keeps mass 1 inside the relative run's dt bound, which
+    # validate() checks.
     raw = fast_collision_dict()
     raw["particle"]["packet"]["r0"] = -8.0
     raw["center_of_mass"]["masses"] = [1e4, 1.0]
+    raw["dt"] = 0.004
     cfg = ScenarioConfig.from_dict(raw)
     with pytest.raises(PropagationError, match="not negligible at the start"):
         run_collision(cfg)
@@ -204,11 +207,11 @@ def test_collision_propagates_residual_once(monkeypatch):
         calls[psi0.space.dims, kinetic, steps > 0] += 1
         return original(psi0, h, dt, min(steps, 2), checkpoint_every)
 
-    # Each start is checked uncoupled once.
+    # Each start is checked uncoupled once, under H_rel with its reduced mass.
     starts, interaction_energy = Counter(), fs.scenarios.interaction_energy
 
     def checked(state, h):
-        starts[h.kinetic.get("A_cm")] += 1
+        starts[h.kinetic["S"]] += 1
         return interaction_energy(state, h)
 
     monkeypatch.setattr("framesim.scenarios.evolve_exact", short)
@@ -231,7 +234,7 @@ def test_collision_propagates_residual_once(monkeypatch):
     assert calls[waves, (("S", m),), True] == 1
     assert calls[(cm.residual_points, 2, 512), (("S", m),), False] == 2
     assert calls[(2, 512), (("S", m),), True] == 1
-    assert starts == Counter(cm.masses)
+    assert starts == Counter(m * mass / (m + mass) for mass in cm.masses)
     for mass in cm.masses:
         # One stacked relative run with the reduced mass, over the Schmidt
         # terms of the start; one zero-step check of the state mapped back
@@ -636,18 +639,28 @@ def test_measurement_never_propagates_the_full_state(monkeypatch):
     m = cfg.measurement
     full = (cfg.center_of_mass.points, cfg.internal.dim, m.a.grid.points, m.b.grid.points)
     propagations = [dims for dims, n in calls if n > 0]
-    assert full not in propagations
-    # two compounds, two b packets, and the free center-of-mass packet
-    assert len(propagations) == 5
+    # the two compounds as one stack, the two b packets as one stack, and
+    # the free center-of-mass packet
+    assert sorted(propagations) == sorted([
+        (2, cfg.center_of_mass.points, cfg.internal.dim, m.a.grid.points),
+        (2, m.b.grid.points),
+        (cfg.center_of_mass.points,),
+    ])
     # one zero-step check of the final state, which the report is extracted from
     assert [dims for dims, n in calls if n == 0] == [full]
 
 
-def assembled(weights, compound_runs, b_runs, k: int) -> StateVector:
-    """Checkpoint k of sum_l w_l compound_l(t) (x) b_l(t), term by term."""
+def assembled(weights, compound_run, b_run, k: int) -> StateVector:
+    """Checkpoint k of sum_l w_l compound_l(t) (x) b_l(t), term by term from
+    the rows of the two stacks."""
+    def rows(run):
+        stack = run.trajectory[k][1]
+        space = Space(stack.space.factors[1:])
+        return [StateVector(space, amps) for amps in stack.amplitudes]
+
     return fs.superpose([
-        (w, tensor_product([c.trajectory[k][1], b.trajectory[k][1]]))
-        for w, c, b in zip(weights, compound_runs, b_runs)
+        (w, tensor_product([c, b]))
+        for w, c, b in zip(weights, rows(compound_run), rows(b_run))
     ])
 
 
@@ -664,11 +677,11 @@ def test_gram_diagnostics_match_assembled_state(monkeypatch):
     monkeypatch.setattr("framesim.scenarios._gram_diagnostics", record)
     cfg = ScenarioConfig.from_dict(oracle_measurement_dict())
     run_position_measurement(cfg)
-    ((weights, compound_runs, b_runs, _, _), rows), = seen
+    ((weights, compound_run, b_run, _, _), rows), = seen
     h = fs.scenarios._measurement_hamiltonians(cfg, cfg.center_of_mass.masses[0])[2]
-    assert len(rows) == len(b_runs[0].trajectory) > 2
+    assert len(rows) == len(b_run.trajectory) == len(compound_run.trajectory) > 2
     for k, (norm, energy, coupling) in enumerate(rows):
-        psi = assembled(weights, compound_runs, b_runs, k)
+        psi = assembled(weights, compound_run, b_run, k)
         assert norm == pytest.approx(psi.norm, rel=0.0, abs=1e-12)
         assert energy == pytest.approx(fs.total_energy(psi, h), rel=1e-12, abs=1e-12)
         assert coupling == pytest.approx(fs.interaction_energy(psi, h), rel=0.0, abs=1e-12)
