@@ -25,17 +25,20 @@ product does not depend on where the checkpoints fall.  <H> and
 operator's matrix-element kernels, taken when first read; the same kernels
 give the L x L matrices <psi_l|H|psi_m> of a list of states.
 
-A step runs level row by level row between two preallocated buffers.  The
-kinetic factor is diagonal in the level index, so row i of a step is row i
-of the position-local factor (d multiply-adds on level slabs) followed by
-the kinetic phase between in-place FFTs of that one slab, and it writes
-only slab i.  When a level slab holds at least THREADED_SLAB amplitudes the
-rows are shared among the calling thread and min(level dimension, usable
-CPUs) - 1 helper threads of a pool that lives for one call, with one join
-per step; smaller states, and states without a level factor, run every row
-on the calling thread.  Each amplitude goes through the same numpy calls in
-the same order either way (the 1-D transforms last axis first, as fftn
-does), so the result is bit-identical whatever the number of threads.
+A step runs level row by level row between two preallocated buffers that
+hold the state level factor first, so each level slab is contiguous (psi0
+is copied into that order once; each checkpoint is closed straight into its
+own array in the caller's order).  The kinetic factor is diagonal in the
+level index, so row i of a step is row i of the position-local factor (d
+multiply-adds on level slabs) followed by the kinetic phase between
+in-place FFTs of that one slab, and it writes only slab i.  When a level
+slab holds at least THREADED_SLAB amplitudes the rows are shared among the
+calling thread and min(level dimension, usable CPUs) - 1 helper threads of
+a pool that lives for one call, with one join per step; smaller states, and
+states without a level factor, run every row on the calling thread.  Each
+amplitude goes through the same numpy calls in the same order either way
+(the 1-D transforms last axis first, as fftn does), so the result is
+bit-identical whatever the number of threads or the caller's factor order.
 
 The heavy subsystem machinery lives here as well.  evolve_factorized
 returns the final relative state of the product approximation: the
@@ -305,12 +308,12 @@ class _GridHamiltonian:
 
         The kinetic factor is diagonal in the level index, so row i reads
         every level slab of amps but writes only slab i of out, and rows can
-        run concurrently.  Without a level factor the one row is the state.
+        run concurrently.  The level axis is 0; without one the row is the state.
         """
         if self.level_axis is None:
             target = np.multiply(factor, amps, out=out)
         else:
-            target = out[(slice(None),) * self.level_axis + (slice(i, i + 1),)]
+            target = out[i:i + 1]
             self.levels(factor[i:i + 1], amps, target, scratch)
         if phase is not None:
             self.spectral(phase, target, target)
@@ -356,7 +359,7 @@ def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:
 class PropagationResult:
     """Checkpointed trajectory of one propagation run.  <H> and
     <H_coupling> of each stored checkpoint (aligned with `trajectory`) are
-    taken from the operator that propagated, on first access."""
+    taken from the run's H in the caller's factor order, on first access."""
 
     trajectory: list[tuple[float, StateVector]]
     final: StateVector
@@ -387,7 +390,7 @@ def evolve_exact(
     `checkpoint_every` steps; each is a whole Strang step, closed by its own
     half-potential.  Norm drift is the largest deviation of any
     checkpoint norm from 1.  <H> and <H_coupling> of each checkpoint are
-    taken from the same operator that propagates, when first read.
+    taken from the H that propagates, in the caller's order, when first read.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
@@ -400,9 +403,12 @@ def evolve_exact(
     # A zero-step call only takes the diagnostics, so it builds no factors
     # and allocates no buffers.
     if steps:
-        phase, half, full = op.propagators(dt)
-        dims = psi0.space.dims
-        rows = 1 if op.level_axis is None else dims[op.level_axis]
+        factors = psi0.space.factors
+        order = sorted(range(len(factors)), key=lambda axis: axis != op.level_axis)
+        stepper = _GridHamiltonian(Space(tuple(factors[axis] for axis in order)), h)
+        phase, half, full = stepper.propagators(dt)
+        dims = stepper.space.dims
+        rows = 1 if stepper.level_axis is None else dims[0]
         workers = 1
         if psi0.amplitudes.size // rows >= THREADED_SLAB:
             # The CPUs this process may run on; all of them where the
@@ -414,8 +420,7 @@ def evolve_exact(
         # of scratch; the calling thread is worker 0, helper threads the rest.
         scratch = [None] * workers
         if rows > 1:
-            slab = dims[:op.level_axis] + dims[op.level_axis + 1:]
-            scratch = [np.empty(slab, dtype=np.complex128) for _ in range(workers)]
+            scratch = [np.empty(dims[1:], dtype=np.complex128) for _ in range(workers)]
         helpers = None
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -425,7 +430,7 @@ def evolve_exact(
             """Every level row of one step, or of a closing W/2, into dst."""
             def rows_of(w: int) -> None:
                 for i in range(w, rows, workers):
-                    op.step_row(factor, kinetic, src, dst, i, scratch[w])
+                    stepper.step_row(factor, kinetic, src, dst, i, scratch[w])
 
             shares = [helpers.submit(rows_of, w) for w in range(1, workers)]
             try:
@@ -435,9 +440,9 @@ def evolve_exact(
                     share.result()
 
         try:
+            amps = np.ascontiguousarray(psi0.amplitudes.transpose(order))
             # Step n reads amps and writes buffers[n % 2]; the other is then free.
-            buffers = [np.empty_like(psi0.amplitudes), np.empty_like(psi0.amplitudes)]
-            amps = psi0.amplitudes
+            buffers = [np.empty_like(amps), np.empty_like(amps)]
             # The first step opens with W/2; every later one opens with W, its
             # own W/2 merged with the closing W/2 of the step before.
             opening = half
@@ -445,12 +450,11 @@ def evolve_exact(
                 apply(opening, phase, amps, buffers[n % 2])
                 amps, opening = buffers[n % 2], full
                 if n % checkpoint_every == 0 or n == steps:
-                    # The stored state is closed into the free buffer and keeps
-                    # it; a later step gets a new one.
-                    free = (n + 1) % 2
-                    apply(half, None, amps, buffers[free])
-                    state = StateVector(psi0.space, buffers[free])
-                    buffers[free] = np.empty_like(amps) if n < steps else None
+                    # The stored state is closed straight into its own array,
+                    # in the caller's factor order.
+                    stored = np.empty(psi0.space.dims, dtype=np.complex128)
+                    apply(half, None, amps, stored.transpose(order))
+                    state = StateVector(psi0.space, stored)
                     trajectory.append((n * dt, state))
                     norm_drift = max(norm_drift, abs(state.norm - 1.0))
         finally:

@@ -13,13 +13,17 @@ reduction of the state.
 Density matrices are stored in the discrete convention: amplitudes carry a
 sqrt(dx) quadrature weight per coordinate factor, so the matrix trace is a
 plain sum, eigenvalues are mixing probabilities, and matrices built from
-Schmidt branches and from partial traces are directly comparable.
+Schmidt branches and from partial traces are directly comparable.  Each is
+kept as rho = V diag(w) V^H (Schmidt states and their weights, or a
+coefficient matrix with unit weights), so trace_distance needs no
+eigensolve of a full difference, and the matrix is formed only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,14 +50,20 @@ MIN_OVERLAP_WEIGHT = 1e-6
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace matrix on a chosen set of factors."""
+    """Hermitian unit-trace matrix rho = V diag(w) V^H on a chosen set of
+    factors; the columns of V span its range."""
 
     labels: tuple[str, ...]
-    matrix: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return (self.vectors * self.weights) @ self.vectors.conj().T
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[0]
 
     @property
     def trace(self) -> float:
@@ -189,7 +199,7 @@ def mixed_density_matrix(result: SchmidtResult, keep: Sequence[str]) -> DensityM
     vectors = schmidt_basis(result, keep)
     left = frozenset(keep) == result.cut.left
     space = (result.left_states if left else result.right_states)[0].space
-    return DensityMatrix(space.labels, (vectors * result.probabilities()) @ vectors.conj().T)
+    return DensityMatrix(space.labels, vectors, result.probabilities())
 
 
 def reduced_density_matrix(psi: StateVector, keep: Sequence[str]) -> DensityMatrix:
@@ -198,15 +208,18 @@ def reduced_density_matrix(psi: StateVector, keep: Sequence[str]) -> DensityMatr
     kept = tuple(lab for lab in psi.space.labels if lab in keep)
     rest = tuple(lab for lab in psi.space.labels if lab not in keep)
     matrix = coefficient_matrix(psi, Bipartition(keep, rest))
-    return DensityMatrix(kept, matrix @ matrix.conj().T)
+    return DensityMatrix(kept, matrix, np.ones(matrix.shape[1]))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) sum |eigenvalues of (a - b)|."""
-    if a.labels != b.labels or a.matrix.shape != b.matrix.shape:
+    """(1/2) sum |eigenvalues of (a - b)|.  With F = V sqrt(w), a - b is
+    M J M^H for M = [F_a F_b] = Q R and J = diag(+1, ..., -1, ...), so its
+    nonzero eigenvalues are those of R J R^H, at most rank_a + rank_b wide."""
+    if a.labels != b.labels or a.dim != b.dim:
         raise ValidationError(
-            f"density matrices are not comparable: {a.labels}/{a.matrix.shape} "
-            f"vs {b.labels}/{b.matrix.shape}"
+            f"density matrices are not comparable: {a.labels}/{a.dim} "
+            f"vs {b.labels}/{b.dim}"
         )
-    diff = a.matrix - b.matrix
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    r = np.linalg.qr(np.hstack([m.vectors * np.sqrt(m.weights) for m in (a, b)]), mode="r")
+    signs = np.repeat([1.0, -1.0], [a.weights.size, b.weights.size])
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh((r * signs) @ r.conj().T))))

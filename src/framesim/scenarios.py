@@ -709,7 +709,9 @@ def _wide_grid(cfg: ScenarioConfig) -> Grid:
 
 def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> SchmidtResult:
     """psi0 = packet(X) (x) phi_int (x) psi_s(x) on the (R, A_int, r) grid,
-    checked uncoupled under H_rel and split across R | (A_int, r).
+    checked uncoupled under H_rel and split across R | (A_int, r).  phi_int
+    is a factor of psi0, so the split is that of its level-free (R, r)
+    plane, with right states phi_int (x) g_k.
 
     R = (1 - w) X + w x with w = m / (M + m), and r = x - X, so X = R - w r
     and x = R + (1 - w) r.  psi0 is sampled with r on the particle grid.
@@ -728,17 +730,20 @@ def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> Sch
     big_r = grid_big_r.positions()[:, None]
     r = grid_x.positions()[None, :]
     psi_s = cfg.particle.packet.params(cfg.particle.mass, cfg.hbar, cfg.mass_unit)
-    plane = cm_params.amplitudes(big_r - w * r) * psi_s.amplitudes(big_r + (1.0 - w) * r)
-    space = Space((Factor.coordinate(LABEL_R, grid_big_r), *phi_int.space.factors,
-                   Factor.coordinate(LABEL_S, grid_x)))
-    psi0 = StateVector(space, plane[:, None, :] * phi_int.amplitudes[:, None]).normalized()
+    samples = cm_params.amplitudes(big_r - w * r) * psi_s.amplitudes(big_r + (1.0 - w) * r)
+    factors = (Factor.coordinate(LABEL_R, grid_big_r), Factor.coordinate(LABEL_S, grid_x))
+    plane = StateVector(Space(factors), samples).normalized()
+    psi0 = StateVector(Space((factors[0], *phi_int.space.factors, factors[1])),
+                       plane.amplitudes[:, None, :] * phi_int.amplitudes[:, None])
     initial_coupling = abs(interaction_energy(psi0, _relative_hamiltonian(cfg, mass)))
     if initial_coupling > INTERACTION_TOL:
         raise PropagationError(
             f"interaction is not negligible at the start: |<H_coupling>| = "
             f"{initial_coupling:.3e} exceeds {INTERACTION_TOL:g} at t = 0"
         )
-    return schmidt_decompose(psi0, Bipartition([LABEL_R], [LABEL_INT, LABEL_S]))
+    split = schmidt_decompose(plane, Bipartition([LABEL_R], [LABEL_S]))
+    return replace(split, right_states=[tensor_product([phi_int, g]) for g in split.right_states],
+                   cut=Bipartition([LABEL_R], [LABEL_INT, LABEL_S]))
 
 
 def _collision_exact(

@@ -140,6 +140,11 @@ def brute_reduced_density(psi, keep) -> np.ndarray:
     return rho
 
 
+def dense_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2) sum |eigenvalues| of the full difference of two density matrices."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 def free_gaussian_width(sigma: float, mass: float, hbar: float, t: float) -> float:
     """Analytic amplitude-dispersion of a freely spreading Gaussian."""
     return sigma * math.sqrt(1.0 + (hbar * t / (mass * sigma**2)) ** 2)

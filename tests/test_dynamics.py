@@ -333,6 +333,65 @@ def test_stacked_rows_equal_their_own_runs(monkeypatch, thread_pools, system, cp
     assert thread_pools == ([1] * 3 if threaded else [])
 
 
+def layout_system():
+    """A coordinate anchor and a level factor between two kinetic axes."""
+    rng = np.random.default_rng(31)
+    space = Space((
+        Factor.coordinate("A_cm", fs.Grid(16, -2.0, 2.0)),
+        Factor.level("q", 3),
+        Factor.coordinate("S", fs.Grid(32, -8.0, 8.0)),
+    ))
+    h = fs.HamiltonianSpec(
+        kinetic={"A_cm": 50.0, "S": 1.3},
+        potentials={"S": rng.standard_normal(32)},
+        internal=("q", random_hermitian(rng, 3)),
+        interaction=fs.Interaction(subject="S", profile=fs.gaussian_profile(0.9, 1.1),
+                                   level="q", coupling=random_hermitian(rng, 3),
+                                   anchor="A_cm"),
+    )
+    return random_state(space, 32), h
+
+
+def checkpoints_in(run, labels) -> list[np.ndarray]:
+    """Every stored checkpoint, C-contiguous, its axes permuted to `labels`."""
+    out = []
+    for _, state in run.trajectory[1:]:
+        assert state.amplitudes.flags.c_contiguous
+        out.append(np.transpose(state.amplitudes, [state.space.axis(a) for a in labels]))
+    return out
+
+
+@pytest.mark.parametrize("system, layouts", [
+    (layout_system, [(0, 1, 2), (1, 0, 2), (0, 2, 1)]),
+    (lambda: free_system(5), [(0,)]),
+], ids=["levels", "no-levels"])
+def test_steps_do_not_depend_on_the_layout(monkeypatch, thread_pools, system, layouts):
+    """The level factor first, in the middle or last, rows inline or on
+    threads, and a state with no level factor: every checkpoint is
+    bit-equal once its axes are permuted back.  Each stored checkpoint is a
+    C-contiguous array in the caller's factor order, and equals the final
+    state of a run that stops there, so later steps leave it unchanged."""
+    monkeypatch.setattr(fs.dynamics, "THREADED_SLAB", 1)
+    psi, h = system()
+    labels = psi.space.labels
+    runs = []
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        for layout in layouts:
+            moved = StateVector(Space(tuple(psi.space.factors[a] for a in layout)),
+                                np.transpose(psi.amplitudes, layout))
+            run = fs.evolve_exact(moved, h, 1e-3, 5, 1)
+            assert all(s.space == moved.space for _, s in run.trajectory)
+            runs.append(checkpoints_in(run, labels))
+    # Without a level factor a step is one row, which runs inline.
+    assert thread_pools == ([1] * len(layouts) if psi.space.has("q") else [])
+    for other in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], other, strict=True))
+    for n, stored in enumerate(runs[0], start=1):
+        alone = fs.evolve_exact(psi, h, 1e-3, n, n).final.amplitudes
+        assert np.array_equal(stored, alone)
+
+
 def test_small_slabs_run_inline(monkeypatch, thread_pools):
     usable_cpus(monkeypatch, 2)
     psi, h = criterion_2_system()

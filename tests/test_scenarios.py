@@ -250,6 +250,41 @@ def test_collision_propagates_residual_once(monkeypatch):
     assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("phi", [None, [0.6, 0.8j]], ids=["shipped", "complex"])
+def test_jacobi_split_is_the_split_of_the_full_start(monkeypatch, collision_config, phi):
+    """The split of the level-free (R, r) plane, with right states
+    phi_int (x) g_k, is the Schmidt decomposition of the full start psi0
+    that the t = 0 coupling check reads: the same rank, coefficients within
+    1e-13, truncation residuals within 1e-28, and right states equal up to a
+    phase, |<G_k|G'_k>| >= 1 - 1e-12.  An SVD fixes the vector of
+    coefficient c_k only to an angle of about 1e-16 / c_k, so the last
+    bound widens to (1e-15 / c_k)^2 for the terms just above the truncation
+    tolerance (measured at c_k = 2.4e-12 with phi = (0.6, 0.8i): 3.7e-10).
+    The shipped masses keep K = 9, 7 and 5 terms."""
+    cfg = collision_config
+    phi_int = fs.level_state("A_int", cfg.internal.state if phi is None else phi)
+    starts, interaction_energy = [], fs.scenarios.interaction_energy
+
+    def checked(state, h):
+        starts.append(state)
+        return interaction_energy(state, h)
+
+    monkeypatch.setattr("framesim.scenarios.interaction_energy", checked)
+    ranks = []
+    for mass in cfg.center_of_mass.masses:
+        split = fs.scenarios._jacobi_split(cfg, mass, phi_int)
+        assert starts[-1].space.labels == ("R", "A_int", "S")
+        full = fs.schmidt_decompose(starts[-1], split.cut)
+        assert split.rank == full.rank
+        assert np.max(np.abs(split.coefficients - full.coefficients)) <= 1e-13
+        assert abs(split.truncation_residual - full.truncation_residual) <= 1e-28
+        for c, g, g_full in zip(split.coefficients, split.right_states, full.right_states,
+                                strict=True):
+            assert 1.0 - abs(fs.inner_product(g, g_full)) <= max(1e-12, (1e-15 / c) ** 2)
+        ranks.append(split.rank)
+    assert ranks == [9, 7, 5]
+
+
 @pytest.fixture(scope="module")
 def jacobi_and_grid_records():
     """Records of the fast collision over three masses, from the shipped
