@@ -3,9 +3,10 @@
 Configs are JSON documents validated against the scenario schema; reports
 are JSON-lines record streams; plot tables are comma-separated files with a
 one-line header.  A manifest records the canonical config digest, seeds,
-tool version, output paths, a digest of the report bytes, and wall-clock
-timings.  Reports contain no timestamps, so identical configs and seeds
-reproduce byte-identical report files; timings live only in the manifest.
+tool version, output paths, a digest of the report bytes, wall-clock
+timings, and the BLAS thread settings (BLAS_THREAD_VARS).  Reports contain
+no timestamps, so identical configs, seeds and BLAS threads reproduce
+byte-identical report files; timings live only in the manifest.
 A sweep runs the config once per value, each run as `run` does it, and
 builds its tables from the records the runs return (SWEEP_COLUMNS).
 
@@ -43,6 +44,8 @@ EXIT_VERIFY = 5
 REPORT_NAME = "report.jsonl"
 MANIFEST_NAME = "manifest.json"
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 PROBABILITY_SUM_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 HERMITICITY_LIMIT = 1e-10
@@ -71,6 +74,7 @@ def _write_report(out_dir: Path, records: list[dict]) -> tuple[Path, str]:
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> Path:
+    manifest = {**manifest, "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
     path = out_dir / MANIFEST_NAME
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path

@@ -763,13 +763,12 @@ def _collision_exact(
     <H_rel> and <H_coupling> of the stacked state are those of the whole,
     and <T_R> = sum_k s_k^2 <F_k|T_R|F_k> is constant.
 
-    At the final time the state is evaluated at each X_j and at every x of
-    the wider window: F_k((1 - w) X_j + w x) is summed from its Fourier
-    series, and G_k(x - X_j) is shifted spectrally.  The particle grid is
-    periodic, so what lies beyond its window is folded back into it, as a
-    propagation on that grid would have carried it round.  The mapped
-    state's own norm, <H> and <H_coupling> under the grid H must match the
-    stacked run's.
+    At t_final the terms are summed once per level in R's Fourier series,
+    with the free phase, at R = X_j + w r (x = X_j + r) by one (X, kappa)
+    by (kappa, r) product; one FFT pair shifts each row by X_j from r to x,
+    and what lies beyond the periodic particle window is folded back into
+    it.  The mapped state's own norm, <H> and <H_coupling> under the grid H
+    must match the stacked run's.
     """
     grid_r = _wide_grid(cfg)
     weights = split.coefficients
@@ -794,19 +793,26 @@ def _collision_exact(
     free = np.exp(-1j * cfg.hbar * kappa**2 * t_final / (2.0 * (mass + cfg.particle.mass)))
     spectra = np.fft.fft([f.amplitudes for f in split.left_states], axis=1)
     spectra *= free / grid_big_r.n_points
-    # exp(i kappa (R_ij - R_min)) = exp(i kappa (1 - w) (X_j - X_min)) exp(i kappa w (x_i - x_min))
-    from_cm = np.exp(1j * np.outer((1.0 - w) * (grid_cm.positions() - grid_cm.x_min), kappa))
-    from_r = np.exp(1j * np.outer(kappa, w * (grid_r.positions() - grid_r.x_min)))
-    shift = np.exp(-1j * np.outer(grid_cm.positions(), grid_r.wavenumbers()))[:, None, :]
-    g_spectra = np.fft.fft(run.final.amplitudes, axis=-1)
-    wide = np.zeros((grid_cm.n_points, *run.final.space.dims[1:]), dtype=np.complex128)
-    for f_spectrum, g_spectrum in zip(spectra, g_spectra):
-        wide += ((from_cm * f_spectrum) @ from_r)[:, None, :] * np.fft.ifft(shift * g_spectrum)
+    # R - R_min = (X_j - X_min) + (X_min - R_min) + w r.
+    from_cm = np.exp(1j * np.outer(grid_cm.positions() - grid_cm.x_min, kappa))
+    from_r = np.exp(1j * np.outer(kappa, grid_cm.x_min - grid_big_r.x_min
+                                  + w * grid_r.positions()))
+    wide = np.empty((grid_cm.n_points, *run.final.space.dims[1:]), dtype=np.complex128)
+    for lvl in range(wide.shape[1]):
+        terms = spectra.T @ run.final.amplitudes[:, lvl]
+        terms *= from_r
+        wide[:, lvl] = from_cm @ terms
+    np.fft.fft(wide, axis=-1, out=wide)
+    wide *= np.exp(-1j * np.outer(grid_cm.positions(), grid_r.wavenumbers()))[:, None, :]
+    np.fft.ifft(wide, axis=-1, out=wide)
     # Point i of the particle window is point pad + i of the wider one, and
     # its image one particle window away is point pad + i + 2 pad, modulo
     # the wider window's 4 pad points.
-    folded = np.roll(wide, -pad, axis=-1).reshape(*wide.shape[:-1], 2, -1).sum(axis=-2)
+    folded = wide[..., pad:3 * pad].copy()
+    folded[..., :pad] += wide[..., 3 * pad:]
+    folded[..., pad:] += wide[..., :pad]
     final = StateVector(Space((Factor.coordinate(LABEL_CM, grid_cm), level, particle)), folded)
+    del from_r, terms, wide  # not alive through the check: they would raise its peak
 
     # The mapped state's diagnostics under the grid H; this zero-step call
     # also checks dt against that H.

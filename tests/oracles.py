@@ -3,10 +3,11 @@
 Almost everything here is deliberately naive: dense matrices built element
 by element from explicit DFT kinetic blocks, partial traces as raw index
 loops, inner products as plain accumulation.  None of it shares code paths
-with the package under test.  The one exception is the collision's grid run
-at the end: it uses the package's propagator, on a different
+with the package under test.  The exceptions are the collision's oracles
+at the end: the grid runs use the package's propagator, on a different
 discretization (the heavy and light coordinates on their own grids) from
-the Jacobi-coordinate run the collision ships.
+the Jacobi-coordinate run the collision ships, and the per-term map-back
+reads the package's grids.
 """
 
 from __future__ import annotations
@@ -198,3 +199,42 @@ def grid_collision_residual(cfg, phi_int, psi_s) -> list[float]:
                          max(steps, 1)).final
     return [factorization_residual(final, m, cfg.hbar, "A_cm")
             for m in cfg.center_of_mass.masses]
+
+
+def jacobi_map_back(cfg, mass: float, split, run):
+    """The final state of `scenarios._collision_exact` on the (A_cm, A_int, S)
+    grid, mapped back one Schmidt term at a time from the stacked relative
+    run `run` of `split`.
+
+    Term k is F_k((1 - w) X_j + w x_i), summed from its Fourier series with
+    the free phase of the whole run, times G_k(x_i - X_j), shifted
+    spectrally on the wider r window; the sum over k is folded from that
+    window into the particle window with np.roll.
+    """
+    from framesim import scenarios
+    from framesim.hilbert import Factor, Space, StateVector
+
+    grid_r = scenarios._wide_grid(cfg)
+    grid_cm, _ = scenarios._cm_setup(cfg, mass)
+    grid_big_r = split.left_states[0].space.factors[0].grid
+    level, particle = split.right_states[0].space.factors
+    pad = grid_r.n_points // 4
+    w = cfg.particle.mass / (mass + cfg.particle.mass)
+    kappa = grid_big_r.wavenumbers()
+    t_final = run.trajectory[-1][0]
+    free = np.exp(-1j * cfg.hbar * kappa**2 * t_final / (2.0 * (mass + cfg.particle.mass)))
+    spectra = np.fft.fft([f.amplitudes for f in split.left_states], axis=1)
+    spectra *= free / grid_big_r.n_points
+    # exp(i kappa (R_ij - R_min)) = exp(i kappa (1 - w) (X_j - X_min)) exp(i kappa w (x_i - x_min))
+    from_cm = np.exp(1j * np.outer((1.0 - w) * (grid_cm.positions() - grid_cm.x_min), kappa))
+    from_r = np.exp(1j * np.outer(kappa, w * (grid_r.positions() - grid_r.x_min)))
+    shift = np.exp(-1j * np.outer(grid_cm.positions(), grid_r.wavenumbers()))[:, None, :]
+    g_spectra = np.fft.fft(run.final.amplitudes, axis=-1)
+    wide = np.zeros((grid_cm.n_points, *run.final.space.dims[1:]), dtype=np.complex128)
+    for f_spectrum, g_spectrum in zip(spectra, g_spectra):
+        wide += ((from_cm * f_spectrum) @ from_r)[:, None, :] * np.fft.ifft(shift * g_spectrum)
+    # Point i of the particle window is point pad + i of the wider one, and
+    # its image one particle window away is point pad + i + 2 pad, modulo
+    # the wider window's 4 pad points.
+    folded = np.roll(wide, -pad, axis=-1).reshape(*wide.shape[:-1], 2, -1).sum(axis=-2)
+    return StateVector(Space((Factor.coordinate("A_cm", grid_cm), level, particle)), folded)

@@ -54,6 +54,21 @@ def test_run_writes_report_and_manifest(measurement_config_file, tmp_path):
     assert "run_seconds" in manifest["timings"]
 
 
+def test_manifests_record_blas_threads(measurement_config_file, tmp_path, monkeypatch):
+    """Run and sweep manifests record the BLAS thread variables as the
+    environment sets them, null where unset: the last bits of a report can
+    depend on the BLAS thread count."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("FRAMESIM_WORKERS", raising=False)
+    out = tmp_path / "sweep"
+    assert cmd_sweep(str(measurement_config_file), "seeds.trials", [500.0], str(out)) == EXIT_OK
+    want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "4"}
+    for path in (out / "manifest.json", out / "run-000" / "manifest.json"):
+        assert json.loads(path.read_text())["blas_threads"] == want
+
+
 def test_rerun_is_byte_identical(measurement_config_file, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert cmd_run(str(measurement_config_file), str(out1)) == EXIT_OK

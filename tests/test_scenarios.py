@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -23,7 +24,12 @@ from framesim.scenarios import (
 )
 
 from conftest import fast_collision_dict, fast_measurement_dict
-from oracles import binomial_3sigma, grid_collision_exact, grid_collision_residual
+from oracles import (
+    binomial_3sigma,
+    grid_collision_exact,
+    grid_collision_residual,
+    jacobi_map_back,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +408,43 @@ def test_collision_rejects_a_mismatched_mapping(monkeypatch):
     cfg = ScenarioConfig.from_dict(fast_collision_dict())
     with pytest.raises(PropagationError, match="stacked relative run"):
         run_collision(cfg)
+
+
+def fast_split(mass: float, p0: float | None = None):
+    raw = fast_collision_dict()
+    if p0 is not None:
+        raw["particle"]["packet"]["p0"] = p0
+    cfg = ScenarioConfig.from_dict(raw)
+    return cfg, fs.scenarios._jacobi_split(cfg, mass, fs.level_state("A_int", cfg.internal.state))
+
+
+@pytest.mark.parametrize("mass, p0", [(1e2, None), (1e3, None), (1e4, None), (1e2, 24.0)],
+                         ids=["1e2", "1e3", "1e4", "1e2-wrapped"])
+def test_jacobi_map_back_matches_the_per_term_oracle(mass, p0):
+    """The exact state mapped back with one shear of the summed terms equals
+    the sum of its Schmidt terms mapped one at a time within 1e-12 relative
+    in norm (measured: 2.1e-15 to 1.5e-14).  With p0 = 24 the packet runs
+    round the particle window's seam (30% of the final weight lies in its
+    first 16 points), so the fold is checked too."""
+    cfg, split = fast_split(mass, p0)
+    final, run, _ = fs.scenarios._collision_exact(cfg, mass, split)
+    want = jacobi_map_back(cfg, mass, split, run)
+    assert final.space.labels == want.space.labels and final.space.dims == want.space.dims
+    gap = np.linalg.norm(final.amplitudes - want.amplitudes)
+    assert gap <= 1e-12 * np.linalg.norm(want.amplitudes)
+
+
+def test_collision_exact_memory_peak():
+    """tracemalloc's peak during one mass's exact run stays at or below that
+    of the per-term map-back it replaced, 22.7 MiB (measured: 18.3 MiB)."""
+    cfg, split = fast_split(100.0)
+    tracemalloc.start()
+    try:
+        fs.scenarios._collision_exact(cfg, 100.0, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22.7 * 2**20
 
 
 def test_collision_requires_collision_config():

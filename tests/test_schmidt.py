@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,3 +203,112 @@ def test_near_degenerate_coefficients_are_grouped():
     psi = StateVector(space, np.diag(c))
     res = fs.schmidt_decompose(psi, fs.Bipartition(["L"], ["R"]))
     assert res.degenerate_groups == [[0, 1]]
+
+
+# ---------------------------------------------------------------------------
+# the sketched split
+# ---------------------------------------------------------------------------
+
+def matrix_state(matrix: np.ndarray) -> tuple[StateVector, fs.Bipartition]:
+    """The normalized state whose coefficient matrix is `matrix`."""
+    space = Space((Factor.level("L", matrix.shape[0]), Factor.level("R", matrix.shape[1])))
+    return StateVector(space, matrix).normalized(), fs.Bipartition(["L"], ["R"])
+
+
+def with_singular_values(s, shape=(256, 512), seed=91) -> np.ndarray:
+    """A complex matrix of the given shape with singular values s."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((n, len(s), 2)) @ [1.0, 1j])[0] for n in shape)
+    return (u * np.asarray(s)) @ v.conj().T
+
+
+def direct(psi, cut):
+    """The decomposition from the direct SVD of the whole matrix."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("framesim.schmidt._sketched_range", lambda matrix, tol: (None, matrix, 0.0))
+        return fs.schmidt_decompose(psi, cut)
+
+
+def assert_matches_svd(res, psi, cut):
+    """The same rank as numpy's SVD of the coefficient matrix, coefficients
+    within 1e-15 and truncation residual within 1e-28."""
+    s = np.linalg.svd(fs.schmidt.coefficient_matrix(psi, cut), compute_uv=False)
+    keep = s >= fs.schmidt.DEFAULT_TRUNC_TOL
+    assert res.rank == np.count_nonzero(keep)
+    assert np.max(np.abs(res.coefficients - s[keep])) <= 1e-15
+    assert abs(res.truncation_residual - float(np.sum(s[~keep] ** 2))) <= 1e-28
+
+
+def assert_bit_equal(a, b):
+    assert np.array_equal(a.coefficients, b.coefficients)
+    assert a.truncation_residual == b.truncation_residual
+    assert a.degenerate_groups == b.degenerate_groups
+    for x, y in zip(a.left_states + a.right_states, b.left_states + b.right_states, strict=True):
+        assert np.array_equal(x.amplitudes, y.amplitudes)
+
+
+def test_sketched_split_of_the_shipped_jacobi_planes(monkeypatch, collision_config):
+    """Each shipped mass's (R, r) plane, 256 x 512 of rank 9, 7 and 5, is
+    split on a 32-column sketch and matches the direct SVD."""
+    planes, split = [], fs.scenarios.schmidt_decompose
+
+    def spy(psi, cut):
+        planes.append((psi, cut))
+        return split(psi, cut)
+
+    monkeypatch.setattr("framesim.scenarios.schmidt_decompose", spy)
+    phi_int = fs.level_state("A_int", collision_config.internal.state)
+    ranks = [fs.scenarios._jacobi_split(collision_config, mass, phi_int).rank
+             for mass in collision_config.center_of_mass.masses]
+    assert ranks == [9, 7, 5]
+    for psi, cut in planes:
+        matrix = fs.schmidt.coefficient_matrix(psi, cut)
+        assert matrix.shape == (256, 512)
+        assert fs.schmidt._sketched_range(matrix, 1e-14)[0].shape[1] == 32
+        assert_matches_svd(split(psi, cut), psi, cut)
+
+
+def test_sketched_split_of_decaying_singular_values():
+    """Singular values 10^-k, k = 0 ... 15, normalized: the four below the
+    truncation tolerance are dropped as by the direct SVD, and a second
+    call gives the same bits."""
+    psi, cut = matrix_state(with_singular_values(10.0 ** -np.arange(16)))
+    res = fs.schmidt_decompose(psi, cut)
+    assert res.rank == 12
+    assert_matches_svd(res, psi, cut)
+    assert_bit_equal(res, fs.schmidt_decompose(psi, cut))
+
+
+def test_sketch_widens_until_it_holds_the_range():
+    """48 singular values of 1e-10 beside nine larger ones do not fit 32
+    columns; the sketch doubles to 64 and still matches."""
+    s = np.concatenate([10.0 ** -np.arange(9), np.full(48, 1e-10)])
+    psi, cut = matrix_state(with_singular_values(s))
+    matrix = fs.schmidt.coefficient_matrix(psi, cut)
+    assert fs.schmidt._sketched_range(matrix, 1e-14)[0].shape[1] == 64
+    assert_matches_svd(fs.schmidt_decompose(psi, cut), psi, cut)
+
+
+@pytest.mark.parametrize("shape", [(256, 512), (128, 64), (512, 2)],
+                         ids=["full-rank", "measurement", "branches"])
+def test_split_without_a_certified_sketch_is_the_direct_svd(shape):
+    """A full-rank matrix, and any too small for a sketch to pay, such as
+    the measurement's 128 x 64 and the collision's 512 x 2 branch splits,
+    take the direct SVD bit for bit."""
+    rng = np.random.default_rng(shape[1])
+    psi, cut = matrix_state(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert fs.schmidt._sketched_range(fs.schmidt.coefficient_matrix(psi, cut), 1e-14)[0] is None
+    assert_bit_equal(fs.schmidt_decompose(psi, cut), direct(psi, cut))
+
+
+def test_sketch_loads_no_numpy_random():
+    """The sketch draws from the standard library's generator: importing
+    numpy.random alone raised a collision run's peak RSS by 2 MB."""
+    code = ("import sys, numpy as np; from framesim import schmidt; "
+            "q, _, _ = schmidt._sketched_range(np.ones((256, 512)) / 362.0, 1e-14); "
+            "print(q.shape[1], 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "32 False\n"
