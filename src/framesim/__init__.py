@@ -14,7 +14,6 @@ from .hilbert import (
     inner_product,
     level_state,
     make_gaussian,
-    reorder_factors,
     superpose,
     tensor_product,
 )

@@ -22,7 +22,6 @@ size, a positive integer; unset or 1 means sequential execution.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -60,8 +59,17 @@ def canonical_config_text(raw: dict) -> str:
     return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(data: bytes) -> str:
+    """Hex sha256 of data.  hashlib is imported on first use, not with the
+    module: it loads libcrypto (about 3.6 MiB resident), which a run needs
+    only after the simulation, and so past its memory peak."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def config_digest(raw: dict) -> str:
-    return hashlib.sha256(canonical_config_text(raw).encode("utf-8")).hexdigest()
+    return _sha256(canonical_config_text(raw).encode("utf-8"))
 
 
 def _write_report(out_dir: Path, records: list[dict]) -> tuple[Path, str]:
@@ -70,7 +78,7 @@ def _write_report(out_dir: Path, records: list[dict]) -> tuple[Path, str]:
     lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(payload)
-    return path, hashlib.sha256(payload).hexdigest()
+    return path, _sha256(payload)
 
 
 def _write_manifest(out_dir: Path, manifest: dict) -> Path:
@@ -78,6 +86,19 @@ def _write_manifest(out_dir: Path, manifest: dict) -> Path:
     path = out_dir / MANIFEST_NAME
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far in MB (KiB / 1024, as
+    getrusage counts it on Linux), or None where there is no `resource`
+    module."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # macOS counts ru_maxrss in bytes, Linux in KiB.
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def _format_number(x) -> str:
@@ -173,6 +194,7 @@ def _execute(raw: dict, cfg: ScenarioConfig, out_dir: Path) -> tuple[dict, list[
     started = time.perf_counter()
     report = run_scenario(cfg)
     elapsed = time.perf_counter() - started
+    peak_rss_mb = _peak_rss_mb()
     records = report.to_records()
     report_path, digest = _write_report(out_dir, records)
     manifest = {
@@ -183,6 +205,7 @@ def _execute(raw: dict, cfg: ScenarioConfig, out_dir: Path) -> tuple[dict, list[
         "outputs": {"report": report_path.name},
         "report_digest": digest,
         "timings": {"run_seconds": elapsed},
+        "resources": {"peak_rss_mb": peak_rss_mb},
     }
     _write_manifest(out_dir, manifest)
     return manifest, records
@@ -391,7 +414,7 @@ def cmd_verify(out_dir: str) -> int:
         except (ValueError, OSError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
             failures.append(f"{label}: corrupt report or manifest ({exc})")
             continue
-        digest = hashlib.sha256(payload).hexdigest()
+        digest = _sha256(payload)
         if digest != manifest.get("report_digest"):
             failures.append(f"{label}: report digest mismatch")
         for i, rec in enumerate(records):

@@ -333,8 +333,10 @@ class _GridHamiltonian:
     def uncoupled_elements(self, states: list[np.ndarray]) -> np.ndarray:
         """<psi_l| T + V + H_int |psi_m> for every pair of the states, an
         L x L matrix; the T part is sum_k T(k) conj(psi_l(k)) psi_m(k) / N
-        from one FFT per state."""
-        total = _overlaps(states, [self.potential * psi for psi in states])
+        from one FFT per state.  A zero V adds nothing and is skipped."""
+        total = np.zeros((len(states), len(states)), dtype=np.complex128)
+        if self.potential.any():
+            total += _overlaps(states, [self.potential * psi for psi in states])
         if self.internal is not None:
             total += _overlaps(states, [self.levels(self.internal, psi) for psi in states])
         if self.kinetic_axes:

@@ -46,6 +46,8 @@ from .schmidt import (
 )
 
 MIN_OVERLAP_WEIGHT = 1e-6
+# Rows per block when the Hermiticity error is taken.
+HERMITICITY_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -71,7 +73,11 @@ class DensityMatrix:
 
     @property
     def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        """max |rho - rho^H|, taken HERMITICITY_ROWS rows at a time, so that
+        no full-size temporary is made."""
+        m, rows = self.matrix, HERMITICITY_ROWS
+        return float(max(np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T))
+                         for i in range(0, self.dim, rows)))
 
     def eigenvalues(self, basis: np.ndarray | None = None) -> np.ndarray:
         """Real eigenvalues in descending order.
@@ -85,9 +91,6 @@ class DensityMatrix:
             return np.linalg.eigvalsh(self.matrix)[::-1]
         small = np.linalg.eigvalsh(basis.conj().T @ self.matrix @ basis)
         return np.sort(np.concatenate([small, np.zeros(self.dim - small.size)]))[::-1]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(eq=False)

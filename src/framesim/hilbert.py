@@ -302,66 +302,11 @@ def superpose(
     return out.normalized() if normalize else out
 
 
-def reorder_factors(state: StateVector, labels: Sequence[str]) -> StateVector:
-    """Permute the factor order; amplitudes are transposed to match."""
-    if sorted(labels) != sorted(state.space.labels):
-        raise ValidationError(
-            f"reorder needs a permutation of {state.space.labels}, got {tuple(labels)}"
-        )
-    perm = [state.space.axis(lab) for lab in labels]
-    space = Space(tuple(state.space.factors[i] for i in perm))
-    return StateVector(space, np.transpose(state.amplitudes, perm))
-
-
-def _coordinate_factor(state: StateVector, label: str) -> tuple[int, Factor]:
-    axis = state.space.axis(label)
-    f = state.space.factors[axis]
-    if not f.is_coordinate:
-        raise ValidationError(f"factor {label!r} is not a coordinate factor")
-    return axis, f
-
-
 def position_marginal(state: StateVector, label: str) -> np.ndarray:
     """Probability weights per grid point of one coordinate factor (sums to 1)."""
-    axis, _ = _coordinate_factor(state, label)
+    axis = state.space.axis(label)
+    if not state.space.factors[axis].is_coordinate:
+        raise ValidationError(f"factor {label!r} is not a coordinate factor")
     prob = np.abs(state.amplitudes) ** 2
     other = tuple(i for i in range(prob.ndim) if i != axis)
     return prob.sum(axis=other) * state.space.volume_element
-
-
-def expect_position(state: StateVector, label: str) -> float:
-    _, f = _coordinate_factor(state, label)
-    return float(np.dot(position_marginal(state, label), f.grid.positions()))
-
-
-def position_std(state: StateVector, label: str) -> float:
-    """Standard deviation of |psi|^2 along one coordinate factor."""
-    _, f = _coordinate_factor(state, label)
-    p = position_marginal(state, label)
-    x = f.grid.positions()
-    mean = float(np.dot(p, x))
-    return float(math.sqrt(max(0.0, np.dot(p, (x - mean) ** 2))))
-
-
-def apply_momentum(
-    state: StateVector, label: str, hbar: float = 1.0, power: int = 1
-) -> StateVector:
-    """Apply (hbar k)^power spectrally along one coordinate factor (unnormalized)."""
-    axis, f = _coordinate_factor(state, label)
-    k = f.grid.wavenumbers()
-    shape = [1] * state.amplitudes.ndim
-    shape[axis] = k.size
-    phase = (hbar * k.reshape(shape)) ** power
-    amps = np.fft.ifft(phase * np.fft.fft(state.amplitudes, axis=axis), axis=axis)
-    return StateVector(state.space, amps)
-
-
-def expect_momentum(state: StateVector, label: str, hbar: float = 1.0) -> float:
-    return float(inner_product(state, apply_momentum(state, label, hbar)).real)
-
-
-def momentum_std(state: StateVector, label: str, hbar: float = 1.0) -> float:
-    """Standard deviation of the momentum distribution along one factor."""
-    mean = expect_momentum(state, label, hbar)
-    second = inner_product(state, apply_momentum(state, label, hbar, power=2)).real
-    return float(math.sqrt(max(0.0, second - mean**2)))

@@ -110,6 +110,9 @@ JACOBI_TOL = 1e-8
 # resolves g |psi|^2.
 WINDOW_TOL = 1e-7
 COEFF_NORM_TOL = 1e-10
+# r columns per block of the collision's map-back: its (kappa, r) factors
+# are that wide, not the whole r grid.
+MAP_COLUMNS = 128
 # Branch draws per chunk when the measurement counts its outcomes.
 TRIAL_CHUNK = 1 << 20
 
@@ -525,15 +528,19 @@ def _energy_drift(energies: list[float]) -> float:
     return max(abs(e - ref) for e in energies) / scale
 
 
-def _check_mapping(check: PropagationResult, norm: float, energy: float,
+def _on_grid(check: PropagationResult) -> tuple[float, float, float]:
+    """The norm, <H> and <H_coupling> of a zero-step run's state."""
+    return check.final.norm, check.energies[0], check.couplings[0]
+
+
+def _check_mapping(on_grid: tuple[float, float, float], norm: float, energy: float,
                    coupling: float, source: str, tol: float) -> None:
-    """The norm, <H> and <H_coupling> of a state on the grid (a zero-step
-    run under the grid H) against the values of its `source`: the relative
-    run it was mapped from, or the Gram sums of the terms it was assembled
-    from; within tol * max(1, |value|)."""
-    for what, full, value in (("norm", check.final.norm, norm),
-                              ("<H>", check.energies[0], energy),
-                              ("<H_coupling>", check.couplings[0], coupling)):
+    """The norm, <H> and <H_coupling> of a state on the grid (`_on_grid` of
+    a zero-step run under the grid H) against the values of its `source`:
+    the relative run it was mapped from, or the Gram sums of the terms it
+    was assembled from; within tol * max(1, |value|)."""
+    for what, full, value in zip(("norm", "<H>", "<H_coupling>"), on_grid,
+                                 (norm, energy, coupling)):
         if abs(full - value) > tol * max(1.0, abs(full)):
             raise PropagationError(
                 f"final {what} on the grid ({full!r}) differs from its {source} "
@@ -640,7 +647,10 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     where the anchors are fewer).  At t_final one matrix product sums each
     anchor's state Phi_j(r), and a spectral shift evaluates it at
     r = x - X_j.  No term depends on the mass, so the run is made once per
-    sweep; each mass enters only through P^2 / 2 mass on that state.
+    sweep; each mass enters only through P^2 / 2 mass on that state.  The
+    shift is made in place, and the anchor stack is summed again from the
+    run's final for its own check, so one anchor-sized array is alive at a
+    time.
 
     The mapped state's norm, <H> and <H_coupling> under the grid H must
     match the anchor stack's under H_rel.  H_rel carries g(r) round the
@@ -668,12 +678,20 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     h_rel = _relative_hamiltonian(cfg, None)
     steps = _steps_for(cfg)
     final = evolve_exact(stacked, h_rel, cfg.dt, steps, max(steps, 1)).final.amplitudes
-    relative = (weights @ final.reshape(len(waves), -1)).reshape(len(anchors), *final.shape[1:])
-    relative *= window.amplitudes[:, None, None]
-    spectra = np.fft.fft(relative, axis=-1)
-    spectra *= np.exp(-1j * np.outer(anchors, k))[:, None, :]
     space = Space((*window.space.factors, *stacked.space.factors[1:]))
-    mapped = StateVector(space, np.fft.ifft(spectra, axis=-1, out=spectra))
+    del stacked, waves
+
+    def anchor_stack() -> np.ndarray:
+        """Each anchor's state Phi_j(r), from the stacked run's final."""
+        stack = (weights @ final.reshape(len(final), -1)).reshape(space.dims)
+        stack *= window.amplitudes[:, None, None]
+        return stack
+
+    # The anchor stack, shifted in place to x - X_j.
+    mapped = anchor_stack()
+    np.fft.fft(mapped, axis=-1, out=mapped)
+    mapped *= np.exp(-1j * np.outer(anchors, k))[:, None, :]
+    mapped = StateVector(space, np.fft.ifft(mapped, axis=-1, out=mapped))
 
     # The check's grid H takes g at the nearest periodic image of x - X_j,
     # as H_rel does on the particle's periodic grid.  It comes first: the
@@ -681,12 +699,13 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     h = _collision_hamiltonian(cfg, None)
     period, g = grid_x.x_max - grid_x.x_min, h.interaction.profile
     ring = replace(h.interaction, profile=lambda d: g(d - period * np.round(d / period)))
-    check = evolve_exact(mapped, replace(h, interaction=ring), cfg.dt, 0)
-    stack = evolve_exact(StateVector(space, relative), h_rel, cfg.dt, 0)
-    _check_mapping(check, stack.final.norm, stack.energies[0], stack.couplings[0],
-                   "value in the relative anchor stack", WINDOW_TOL)
+    on_grid = _on_grid(evolve_exact(mapped, replace(h, interaction=ring), cfg.dt, 0))
     # ||P^2 / 2M psi|| is ||P^2 / 2 psi|| / M.
     unit = factorization_residual(mapped, 1.0, cfg.hbar, LABEL_CM)
+    del mapped
+    stack = evolve_exact(StateVector(space, anchor_stack()), h_rel, cfg.dt, 0)
+    _check_mapping(on_grid, stack.final.norm, stack.energies[0], stack.couplings[0],
+                   "value in the relative anchor stack", WINDOW_TOL)
     return [unit / m for m in cfg.center_of_mass.masses]
 
 
@@ -711,7 +730,8 @@ def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> Sch
     """psi0 = packet(X) (x) phi_int (x) psi_s(x) on the (R, A_int, r) grid,
     checked uncoupled under H_rel and split across R | (A_int, r).  phi_int
     is a factor of psi0, so the split is that of its level-free (R, r)
-    plane, with right states phi_int (x) g_k.
+    plane, with right states phi_int (x) g_k, and psi0 itself is never
+    built.
 
     R = (1 - w) X + w x with w = m / (M + m), and r = x - X, so X = R - w r
     and x = R + (1 - w) r.  psi0 is sampled with r on the particle grid.
@@ -733,9 +753,12 @@ def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> Sch
     samples = cm_params.amplitudes(big_r - w * r) * psi_s.amplitudes(big_r + (1.0 - w) * r)
     factors = (Factor.coordinate(LABEL_R, grid_big_r), Factor.coordinate(LABEL_S, grid_x))
     plane = StateVector(Space(factors), samples).normalized()
-    psi0 = StateVector(Space((factors[0], *phi_int.space.factors, factors[1])),
-                       plane.amplitudes[:, None, :] * phi_int.amplitudes[:, None])
-    initial_coupling = abs(interaction_energy(psi0, _relative_hamiltonian(cfg, mass)))
+    # H_coupling acts on r alone, so psi0's <H_coupling> is that of its
+    # r-marginal amplitude sqrt(sum_R |plane|^2 dR) (x) phi_int.
+    marginal = np.sqrt(np.sum(np.abs(plane.amplitudes) ** 2, axis=0) * grid_big_r.dx)
+    start = StateVector(Space((*phi_int.space.factors, factors[1])),
+                        phi_int.amplitudes[:, None] * marginal)
+    initial_coupling = abs(interaction_energy(start, _relative_hamiltonian(cfg, mass)))
     if initial_coupling > INTERACTION_TOL:
         raise PropagationError(
             f"interaction is not negligible at the start: |<H_coupling>| = "
@@ -764,8 +787,9 @@ def _collision_exact(
     and <T_R> = sum_k s_k^2 <F_k|T_R|F_k> is constant.
 
     At t_final the terms are summed once per level in R's Fourier series,
-    with the free phase, at R = X_j + w r (x = X_j + r) by one (X, kappa)
-    by (kappa, r) product; one FFT pair shifts each row by X_j from r to x,
+    with the free phase, at R = X_j + w r (x = X_j + r) by (X, kappa) by
+    (kappa, r) products, MAP_COLUMNS r columns at a time; one FFT pair
+    shifts each row by X_j from r to x,
     and what lies beyond the periodic particle window is folded back into
     it.  The mapped state's own norm, <H> and <H_coupling> under the grid H
     must match the stacked run's.
@@ -795,13 +819,15 @@ def _collision_exact(
     spectra *= free / grid_big_r.n_points
     # R - R_min = (X_j - X_min) + (X_min - R_min) + w r.
     from_cm = np.exp(1j * np.outer(grid_cm.positions() - grid_cm.x_min, kappa))
-    from_r = np.exp(1j * np.outer(kappa, grid_cm.x_min - grid_big_r.x_min
-                                  + w * grid_r.positions()))
+    offsets = grid_cm.x_min - grid_big_r.x_min + w * grid_r.positions()
     wide = np.empty((grid_cm.n_points, *run.final.space.dims[1:]), dtype=np.complex128)
-    for lvl in range(wide.shape[1]):
-        terms = spectra.T @ run.final.amplitudes[:, lvl]
-        terms *= from_r
-        wide[:, lvl] = from_cm @ terms
+    for start in range(0, grid_r.n_points, MAP_COLUMNS):
+        cols = slice(start, start + MAP_COLUMNS)
+        from_r = np.exp(1j * np.outer(kappa, offsets[cols]))
+        for lvl in range(wide.shape[1]):
+            terms = spectra.T @ run.final.amplitudes[:, lvl, cols]
+            terms *= from_r
+            wide[:, lvl, cols] = from_cm @ terms
     np.fft.fft(wide, axis=-1, out=wide)
     wide *= np.exp(-1j * np.outer(grid_cm.positions(), grid_r.wavenumbers()))[:, None, :]
     np.fft.ifft(wide, axis=-1, out=wide)
@@ -812,13 +838,14 @@ def _collision_exact(
     folded[..., :pad] += wide[..., 3 * pad:]
     folded[..., pad:] += wide[..., :pad]
     final = StateVector(Space((Factor.coordinate(LABEL_CM, grid_cm), level, particle)), folded)
-    del from_r, terms, wide  # not alive through the check: they would raise its peak
+    del wide  # not alive through the check: it would raise its peak
 
     # The mapped state's diagnostics under the grid H; this zero-step call
     # also checks dt against that H.
     check = evolve_exact(final, _collision_hamiltonian(cfg, mass), cfg.dt, 0)
-    _check_mapping(check, run.trajectory[-1][1].norm, run.energies[-1] + kinetic_big_r,
-                   run.couplings[-1], "value in the stacked relative run", JACOBI_TOL)
+    _check_mapping(_on_grid(check), run.trajectory[-1][1].norm,
+                   run.energies[-1] + kinetic_big_r, run.couplings[-1],
+                   "value in the stacked relative run", JACOBI_TOL)
     return final, run, kinetic_big_r
 
 
@@ -1180,7 +1207,8 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     # The final state is assembled once; a zero-step propagation under the
     # full H checks the Gram identities on the state the report comes from.
     check = evolve_exact(_assemble(weights, compound_run.final, b_run.final), h, cfg.dt, 0)
-    _check_mapping(check, norms[-1], energies[-1], couplings[-1], "Gram value", GRAM_TOL)
+    _check_mapping(_on_grid(check), norms[-1], energies[-1], couplings[-1], "Gram value",
+                   GRAM_TOL)
 
     phi_free = _free_packet(cfg, mass)
     extraction = extract_relative_state(check.final, phi_free)

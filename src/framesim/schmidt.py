@@ -55,9 +55,6 @@ class Bipartition:
                 f"cover the space {space.labels} exactly"
             )
 
-    def swapped(self) -> "Bipartition":
-        return Bipartition(self.right, self.left)
-
 
 @dataclass(eq=False)
 class SchmidtResult:

@@ -7,7 +7,9 @@ with the package under test.  The exceptions are the collision's oracles
 at the end: the grid runs use the package's propagator, on a different
 discretization (the heavy and light coordinates on their own grids) from
 the Jacobi-coordinate run the collision ships, and the per-term map-back
-reads the package's grids.
+reads the package's grids; and the test-side helpers at the very end
+(moments, purity, a swapped cut, a factor permutation), which only the
+tests use.
 """
 
 from __future__ import annotations
@@ -201,6 +203,27 @@ def grid_collision_residual(cfg, phi_int, psi_s) -> list[float]:
             for m in cfg.center_of_mass.masses]
 
 
+def jacobi_start(cfg, mass: float, phi_int, grid_big_r):
+    """The collision's start psi0 = packet(X) (x) phi_int (x) psi_s(x) on the
+    (R, A_int, r) grid, R on grid_big_r and r on the particle grid, at
+    X = R - w r and x = R + (1 - w) r: the state whose split and t = 0
+    coupling `scenarios._jacobi_split` takes without building it."""
+    from framesim import scenarios
+    from framesim.hilbert import Factor, Space, StateVector
+
+    grid_x = cfg.particle.grid.to_grid()
+    _, cm_params = scenarios._cm_setup(cfg, mass)
+    w = cfg.particle.mass / (mass + cfg.particle.mass)
+    big_r = grid_big_r.positions()[:, None]
+    r = grid_x.positions()[None, :]
+    psi_s = cfg.particle.packet.params(cfg.particle.mass, cfg.hbar, cfg.mass_unit)
+    factors = (Factor.coordinate("R", grid_big_r), Factor.coordinate("S", grid_x))
+    plane = StateVector(Space(factors), cm_params.amplitudes(big_r - w * r)
+                        * psi_s.amplitudes(big_r + (1.0 - w) * r)).normalized()
+    return StateVector(Space((factors[0], *phi_int.space.factors, factors[1])),
+                       plane.amplitudes[:, None, :] * phi_int.amplitudes[:, None])
+
+
 def jacobi_map_back(cfg, mass: float, split, run):
     """The final state of `scenarios._collision_exact` on the (A_cm, A_int, S)
     grid, mapped back one Schmidt term at a time from the stacked relative
@@ -238,3 +261,80 @@ def jacobi_map_back(cfg, mass: float, split, run):
     # the wider window's 4 pad points.
     folded = np.roll(wide, -pad, axis=-1).reshape(*wide.shape[:-1], 2, -1).sum(axis=-2)
     return StateVector(Space((Factor.coordinate("A_cm", grid_cm), level, particle)), folded)
+
+
+# ---------------------------------------------------------------------------
+# Test-side helpers: the moments of a state, the purity of a density matrix,
+# a cut with its blocks swapped and a permutation of a state's factors.  The
+# package has no use for them; they read its public names.
+# ---------------------------------------------------------------------------
+
+def reorder_factors(state, labels):
+    """Permute the factor order; amplitudes are transposed to match."""
+    from framesim.errors import ValidationError
+    from framesim.hilbert import Space, StateVector
+
+    if sorted(labels) != sorted(state.space.labels):
+        raise ValidationError(
+            f"reorder needs a permutation of {state.space.labels}, got {tuple(labels)}"
+        )
+    perm = [state.space.axis(lab) for lab in labels]
+    space = Space(tuple(state.space.factors[i] for i in perm))
+    return StateVector(space, np.transpose(state.amplitudes, perm))
+
+
+def swapped(cut):
+    """The bipartition with its two blocks exchanged."""
+    from framesim.schmidt import Bipartition
+
+    return Bipartition(cut.right, cut.left)
+
+
+def purity(rho) -> float:
+    """tr rho^2 of a DensityMatrix."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def expect_position(state, label: str) -> float:
+    from framesim.hilbert import position_marginal
+
+    grid = state.space.factor(label).grid
+    return float(np.dot(position_marginal(state, label), grid.positions()))
+
+
+def position_std(state, label: str) -> float:
+    """Standard deviation of |psi|^2 along one coordinate factor."""
+    from framesim.hilbert import position_marginal
+
+    p = position_marginal(state, label)
+    x = state.space.factor(label).grid.positions()
+    mean = float(np.dot(p, x))
+    return float(math.sqrt(max(0.0, np.dot(p, (x - mean) ** 2))))
+
+
+def apply_momentum(state, label: str, hbar: float = 1.0, power: int = 1):
+    """Apply (hbar k)^power spectrally along one coordinate factor (unnormalized)."""
+    from framesim.hilbert import StateVector
+
+    axis = state.space.axis(label)
+    k = state.space.factors[axis].grid.wavenumbers()
+    shape = [1] * state.amplitudes.ndim
+    shape[axis] = k.size
+    phase = (hbar * k.reshape(shape)) ** power
+    amps = np.fft.ifft(phase * np.fft.fft(state.amplitudes, axis=axis), axis=axis)
+    return StateVector(state.space, amps)
+
+
+def expect_momentum(state, label: str, hbar: float = 1.0) -> float:
+    from framesim.hilbert import inner_product
+
+    return float(inner_product(state, apply_momentum(state, label, hbar)).real)
+
+
+def momentum_std(state, label: str, hbar: float = 1.0) -> float:
+    """Standard deviation of the momentum distribution along one factor."""
+    from framesim.hilbert import inner_product
+
+    mean = expect_momentum(state, label, hbar)
+    second = inner_product(state, apply_momentum(state, label, hbar, power=2)).real
+    return float(math.sqrt(max(0.0, second - mean**2)))

@@ -16,18 +16,22 @@ from framesim.hilbert import (
     Factor,
     Space,
     StateVector,
-    expect_momentum,
-    expect_position,
     level_state,
     make_gaussian,
-    momentum_std,
-    position_std,
     tensor_product,
 )
 from framesim.scenarios import run_collision, run_position_measurement
 
 from conftest import CONFIG_DIR, COUPLING_K, INTERNAL_H, load_config_dict
-from oracles import binomial_3sigma, dense_evolve, free_gaussian_width
+from oracles import (
+    binomial_3sigma,
+    dense_evolve,
+    expect_momentum,
+    expect_position,
+    free_gaussian_width,
+    momentum_std,
+    position_std,
+)
 
 
 def report(criterion: int, name: str, ok: bool, detail: str) -> None:

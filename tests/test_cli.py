@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -47,11 +48,17 @@ def test_run_writes_report_and_manifest(measurement_config_file, tmp_path):
     assert cmd_run(str(measurement_config_file), str(out)) == EXIT_OK
     assert (out / "report.jsonl").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config_digest"] == config_digest(
-        json.loads(measurement_config_file.read_text())
-    )
+    raw = json.loads(measurement_config_file.read_text())
+    assert manifest["config_digest"] == config_digest(raw)
+    # The digests are the sha256 of the canonical config and of the report bytes.
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert manifest["config_digest"] == hashlib.sha256(canonical).hexdigest()
+    report = (out / "report.jsonl").read_bytes()
+    assert manifest["report_digest"] == hashlib.sha256(report).hexdigest()
     assert manifest["seeds"]
     assert "run_seconds" in manifest["timings"]
+    # ru_maxrss of this process: at least the numpy it has imported.
+    assert manifest["resources"]["peak_rss_mb"] > 10.0
 
 
 def test_manifests_record_blas_threads(measurement_config_file, tmp_path, monkeypatch):
@@ -454,6 +461,17 @@ def test_cli_import_loads_no_process_pool():
     # The pool is imported only by a sweep that uses one, so set-up stays lean.
     code = ("import sys, framesim.cli; print([m for m in sys.modules if "
             "m.startswith(('multiprocessing', 'concurrent.futures'))])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_hashlib():
+    # hashlib loads OpenSSL's libcrypto (_hashlib), about 3.5 MB resident; a
+    # run first needs it for its digests, after the simulation's peak.
+    code = "import sys, framesim.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)

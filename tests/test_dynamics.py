@@ -20,12 +20,11 @@ from framesim.hilbert import (
     StateVector,
     level_state,
     make_gaussian,
-    position_std,
     tensor_product,
 )
 
 from conftest import COUPLING_K, INTERNAL_H
-from oracles import dense_evolve, dense_hamiltonian, free_gaussian_width
+from oracles import dense_evolve, dense_hamiltonian, free_gaussian_width, position_std
 
 
 def random_state(space: Space, seed: int) -> StateVector:

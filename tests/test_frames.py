@@ -11,15 +11,19 @@ from framesim.hilbert import (
     Factor,
     Space,
     StateVector,
-    expect_momentum,
-    expect_position,
     level_state,
     make_gaussian,
     tensor_product,
 )
 
-from conftest import INTERNAL_H
-from oracles import brute_reduced_density, dense_trace_distance
+from conftest import INTERNAL_H, fast_collision_dict
+from oracles import (
+    brute_reduced_density,
+    dense_trace_distance,
+    expect_momentum,
+    expect_position,
+    purity,
+)
 
 
 def random_state(space: Space, seed: int) -> StateVector:
@@ -175,7 +179,7 @@ def test_mixed_density_single_branch_is_pure():
         tensor_product([u, v]), fs.Bipartition(["S"], ["A_int"])
     )
     rho = fs.mixed_density_matrix(result, ["S"])
-    assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+    assert purity(rho) == pytest.approx(1.0, abs=1e-10)
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
 
 
@@ -288,6 +292,41 @@ def density_from_factor(labels, factor: np.ndarray) -> fs.DensityMatrix:
     weights = np.random.default_rng(factor.shape[1]).uniform(0.5, 1.5, factor.shape[1])
     weights /= np.sum(weights * np.sum(np.abs(factor) ** 2, axis=0))
     return fs.DensityMatrix(labels, factor, weights)
+
+
+def collision_rho_mixed(monkeypatch) -> fs.DensityMatrix:
+    """The collision's rho_mixed on the fast config (the shipped grids: 512 x
+    512), as `_collision_point` builds it."""
+    from framesim.scenarios import ScenarioConfig, run_collision
+
+    built, mixed = [], fs.scenarios.mixed_density_matrix
+
+    def spy(*args):
+        built.append(mixed(*args))
+        return built[-1]
+
+    monkeypatch.setattr("framesim.scenarios.mixed_density_matrix", spy)
+    run_collision(ScenarioConfig.from_dict(fast_collision_dict()))
+    (rho,) = built
+    return rho
+
+
+@pytest.mark.parametrize("case", ["random-64", "random-199", "random-512", "collision"])
+def test_hermiticity_error_by_row_blocks_is_exact(monkeypatch, case):
+    """The row-block maximum equals max |M - M^H| of the whole matrix bit
+    for bit: on non-Hermitian random matrices of one block, of a size that
+    is no multiple of the block, and of the collision's size, and on the
+    collision's rho_mixed."""
+    if case == "collision":
+        rho = collision_rho_mixed(monkeypatch)
+    else:
+        n = int(case.split("-")[1])
+        rng = np.random.default_rng(n)
+        rho = density_from_factor(("S",), np.ones((n, 1)))
+        rho.matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = rho.matrix
+    assert rho.hermiticity_error == float(np.max(np.abs(m - m.conj().T)))
+    assert (rho.hermiticity_error > 0.5) == (case != "collision")
 
 
 @pytest.mark.parametrize("ranks", [(1, 1), (2, 2), (2, 256)])

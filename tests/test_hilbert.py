@@ -11,16 +11,18 @@ from framesim.hilbert import (
     Factor,
     Space,
     StateVector,
-    expect_momentum,
-    expect_position,
     level_state,
     make_gaussian,
+)
+
+from oracles import (
+    expect_momentum,
+    expect_position,
     momentum_std,
+    naive_inner,
     position_std,
     reorder_factors,
 )
-
-from oracles import naive_inner
 
 
 def test_grid_requires_power_of_two():

@@ -29,6 +29,7 @@ from oracles import (
     grid_collision_exact,
     grid_collision_residual,
     jacobi_map_back,
+    jacobi_start,
 )
 
 
@@ -260,27 +261,34 @@ def test_collision_propagates_residual_once(monkeypatch):
 def test_jacobi_split_is_the_split_of_the_full_start(monkeypatch, collision_config, phi):
     """The split of the level-free (R, r) plane, with right states
     phi_int (x) g_k, is the Schmidt decomposition of the full start psi0
-    that the t = 0 coupling check reads: the same rank, coefficients within
-    1e-13, truncation residuals within 1e-28, and right states equal up to a
+    (oracles.jacobi_start): the same rank, coefficients within 1e-13,
+    truncation residuals within 1e-28, and right states equal up to a
     phase, |<G_k|G'_k>| >= 1 - 1e-12.  An SVD fixes the vector of
     coefficient c_k only to an angle of about 1e-16 / c_k, so the last
     bound widens to (1e-15 / c_k)^2 for the terms just above the truncation
     tolerance (measured at c_k = 2.4e-12 with phi = (0.6, 0.8i): 3.7e-10).
-    The shipped masses keep K = 9, 7 and 5 terms."""
+    The t = 0 coupling check reads psi0's r-marginal amplitude times
+    phi_int, whose <H_coupling> under the same H is psi0's within 1e-13
+    relative (measured: at most 1.3e-15).  The shipped masses keep K = 9,
+    7 and 5 terms."""
     cfg = collision_config
     phi_int = fs.level_state("A_int", cfg.internal.state if phi is None else phi)
-    starts, interaction_energy = [], fs.scenarios.interaction_energy
+    checked, interaction_energy = [], fs.scenarios.interaction_energy
 
-    def checked(state, h):
-        starts.append(state)
+    def spy(state, h):
+        checked.append((state, h))
         return interaction_energy(state, h)
 
-    monkeypatch.setattr("framesim.scenarios.interaction_energy", checked)
+    monkeypatch.setattr("framesim.scenarios.interaction_energy", spy)
     ranks = []
     for mass in cfg.center_of_mass.masses:
         split = fs.scenarios._jacobi_split(cfg, mass, phi_int)
-        assert starts[-1].space.labels == ("R", "A_int", "S")
-        full = fs.schmidt_decompose(starts[-1], split.cut)
+        psi0 = jacobi_start(cfg, mass, phi_int, split.left_states[0].space.factors[0].grid)
+        state, h = checked[-1]
+        assert state.space.labels == ("A_int", "S")
+        want = interaction_energy(psi0, h)
+        assert abs(interaction_energy(state, h) - want) <= 1e-13 * abs(want)
+        full = fs.schmidt_decompose(psi0, split.cut)
         assert split.rank == full.rank
         assert np.max(np.abs(split.coefficients - full.coefficients)) <= 1e-13
         assert abs(split.truncation_residual - full.truncation_residual) <= 1e-28
@@ -434,17 +442,42 @@ def test_jacobi_map_back_matches_the_per_term_oracle(mass, p0):
     assert gap <= 1e-12 * np.linalg.norm(want.amplitudes)
 
 
-def test_collision_exact_memory_peak():
-    """tracemalloc's peak during one mass's exact run stays at or below that
-    of the per-term map-back it replaced, 22.7 MiB (measured: 18.3 MiB)."""
-    cfg, split = fast_split(100.0)
+def traced_peak(fn, *args) -> int:
+    """tracemalloc's peak in bytes while fn(*args) runs."""
     tracemalloc.start()
     try:
-        fs.scenarios._collision_exact(cfg, 100.0, split)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 22.7 * 2**20
+
+
+def test_collision_exact_memory_peak():
+    """tracemalloc's peak during one mass's exact run stays at or below
+    12.0 MiB (measured: 11.3 MiB; 18.3 MiB with the map-back's (kappa, r)
+    factors over the whole r grid, and 22.7 MiB with the per-term
+    map-back before that)."""
+    cfg, split = fast_split(100.0)
+    assert traced_peak(fs.scenarios._collision_exact, cfg, 100.0, split) <= 12.0 * 2**20
+
+
+def test_collision_residual_memory_peak():
+    """tracemalloc's peak during the residual window stays at or below
+    16.0 MiB (measured: 15.2 MiB; 21.4 MiB while the stacked start, the
+    anchor stack and its mapped copy were alive together)."""
+    cfg = ScenarioConfig.from_dict(fast_collision_dict())
+    (psi_s,) = fs.scenarios._initial_packets(cfg)["S"]
+    phi_int = fs.level_state("A_int", cfg.internal.state)
+    peak = traced_peak(fs.scenarios._collision_residual, cfg, phi_int, psi_s)
+    assert peak <= 16.0 * 2**20
+
+
+def test_run_collision_memory_peak():
+    """tracemalloc's peak over the whole fast collision stays at or below
+    16.0 MiB (measured: 15.2 MiB, the residual window's; 21.5 MiB before
+    the residual and the map-back held one full-size array at a time)."""
+    cfg = ScenarioConfig.from_dict(fast_collision_dict())
+    assert traced_peak(run_collision, cfg) <= 16.0 * 2**20
 
 
 def test_collision_requires_collision_config():

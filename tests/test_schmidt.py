@@ -15,12 +15,11 @@ from framesim.hilbert import (
     Space,
     StateVector,
     level_state,
-    reorder_factors,
     superpose,
     tensor_product,
 )
 
-from oracles import binomial_3sigma, brute_reduced_density
+from oracles import binomial_3sigma, brute_reduced_density, reorder_factors, swapped
 
 
 def random_state(space: Space, seed: int) -> StateVector:
@@ -93,7 +92,7 @@ def test_factor_states_are_orthonormal_under_quadrature():
 def test_cut_symmetry():
     psi, cut = weighted_state(51)
     a = fs.schmidt_decompose(psi, cut)
-    b = fs.schmidt_decompose(psi, cut.swapped())
+    b = fs.schmidt_decompose(psi, swapped(cut))
     n = min(a.rank, b.rank)
     assert np.max(np.abs(a.coefficients[:n] - b.coefficients[:n])) <= 1e-12
 
