@@ -23,7 +23,13 @@ state gets its own closing W/2: it is a whole Strang step, and the running
 product does not depend on where the checkpoints fall.  <H> and
 <H_coupling> of the stored checkpoints are the 1 x 1 case of the
 operator's matrix-element kernels, taken when first read; the same kernels
-give the L x L matrices <psi_l|H|psi_m> of a list of states.
+give the L x L matrices <psi_l|H|psi_m> of a list of states.  They stream a
+large state in blocks of whole rows of its first non-level axis, at most
+DIAGNOSTIC_CHUNK amplitudes each, so their temporaries do not grow with the
+state: each block takes the kinetic terms of the other axes from one FFT,
+and the cut axis's own term comes from 1-D FFTs along it on blocks cut
+across it.  A state of at most one block is summed whole, as one FFT over
+every kinetic axis and one product per pair.
 
 A step runs level row by level row between two preallocated buffers that
 hold the state level factor first, so each level slab is contiguous (psi0
@@ -73,6 +79,8 @@ HERMITICITY_TOL = 1e-12
 THREADED_SLAB = 1 << 15
 # Positions per eigh block when the Strang factors are built.
 FACTOR_CHUNK = 1 << 13
+# Amplitudes per block when <H> and <H_coupling> are summed.
+DIAGNOSTIC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +172,14 @@ class _GridHamiltonian:
         self.space = space
         self.hbar = h.hbar
         self.kinetic_axes = sorted(space.axis(label) for label in h.kinetic)
-        self.kinetic_terms = []
+        # T(k) per kinetic axis, in the order of h.kinetic.
+        self.kinetic_terms = {}
         for label, mass in h.kinetic.items():
             grid = _coordinate(space, label, "kinetic term").grid
             if mass <= 0.0:
                 raise ValidationError(f"kinetic mass for {label!r} must be positive")
             k = _along(space, label, grid.wavenumbers())
-            self.kinetic_terms.append((h.hbar * k) ** 2 / (2.0 * mass))
+            self.kinetic_terms[space.axis(label)] = (h.hbar * k) ** 2 / (2.0 * mass)
 
         self.potential = np.zeros((1,) * len(space.dims))
         for label, spec in h.potentials.items():
@@ -207,15 +216,17 @@ class _GridHamiltonian:
                 )
             self.level_axis = space.axis(level_label)
 
-    def kinetic(self) -> np.ndarray:
-        """T(k) over the kinetic axes, summed from its per-axis terms on each
-        use, so that no full-size copy stays alive while a run propagates."""
-        return sum(self.kinetic_terms, np.zeros((1,) * len(self.space.dims)))
+    def kinetic(self, axes=None) -> np.ndarray:
+        """T(k) over the kinetic axes (or those of them in `axes`), summed from
+        its per-axis terms on each use, so that no full-size copy stays alive
+        while a run propagates."""
+        return sum((t for axis, t in self.kinetic_terms.items() if axes is None or axis in axes),
+                   np.zeros((1,) * len(self.space.dims)))
 
     def check_time_step(self, dt: float) -> None:
         if dt == 0.0:
             raise ValidationError("time step must be nonzero")
-        ceiling = sum(float(t.max()) for t in self.kinetic_terms)
+        ceiling = sum(float(t.max()) for t in self.kinetic_terms.values())
         if abs(dt) * ceiling / self.hbar > math.pi + 1e-12:
             raise ValidationError(
                 f"time step {dt:g} violates the anti-aliasing bound "
@@ -318,38 +329,93 @@ class _GridHamiltonian:
         if phase is not None:
             self.spectral(phase, target, target)
 
+    def blocks(self) -> tuple[int, list[slice]]:
+        """The first non-level axis and its cut into blocks of whole rows,
+        each of at most DIAGNOSTIC_CHUNK amplitudes (or one row, if a row
+        holds more).  A state of at most DIAGNOSTIC_CHUNK amplitudes is one
+        block."""
+        dims = self.space.dims
+        cut = next((axis for axis in range(len(dims)) if axis != self.level_axis), 0)
+        rows = max(1, DIAGNOSTIC_CHUNK * dims[cut] // math.prod(dims))
+        return cut, [slice(start, start + rows) for start in range(0, dims[cut], rows)]
+
     def coupling_elements(self, states: list[np.ndarray]) -> np.ndarray:
         """<psi_l| g(x) K |psi_m> for every pair of the states, an L x L
-        matrix; zeros without a coupling."""
+        matrix summed over `blocks`; zeros without a coupling."""
+        total = np.zeros((len(states), len(states)), dtype=np.complex128)
         if self.profile is None:
-            return np.zeros((len(states), len(states)), dtype=np.complex128)
-        kets = []
-        for psi in states:
-            k_psi = self.levels(self.coupling, psi)
-            k_psi *= self.profile
-            kets.append(k_psi)
-        return _overlaps(states, kets) * self.space.volume_element
+            return total
+        cut, blocks = self.blocks()
+        for rows in blocks:
+            chunk = [_cut_rows(psi, cut, rows) for psi in states]
+            profile = _cut_rows(self.profile, cut, rows)
+            kets = (self.levels(self.coupling, psi) for psi in chunk)
+            total += _overlaps(chunk, [np.multiply(k_psi, profile, out=k_psi) for k_psi in kets])
+        return total * self.space.volume_element
 
     def uncoupled_elements(self, states: list[np.ndarray]) -> np.ndarray:
         """<psi_l| T + V + H_int |psi_m> for every pair of the states, an
-        L x L matrix; the T part is sum_k T(k) conj(psi_l(k)) psi_m(k) / N
-        from one FFT per state.  A zero V adds nothing and is skipped."""
+        L x L matrix summed over `blocks`; the T part is
+        sum_k T(k) conj(psi_l(k)) psi_m(k) / N from one FFT per block over
+        its kinetic axes.  When a state spans more than one block, the cut
+        axis's own kinetic term is summed apart, from 1-D FFTs along it
+        (`_cut_kinetic`).  A zero V adds nothing and is skipped."""
         total = np.zeros((len(states), len(states)), dtype=np.complex128)
-        if self.potential.any():
-            total += _overlaps(states, [self.potential * psi for psi in states])
-        if self.internal is not None:
-            total += _overlaps(states, [self.levels(self.internal, psi) for psi in states])
-        if self.kinetic_axes:
-            spectra = [np.fft.fftn(psi, axes=self.kinetic_axes) for psi in states]
-            t = self.kinetic()
-            n = math.prod(self.space.dims[axis] for axis in self.kinetic_axes)
-            total += _overlaps(spectra, [t * psi_k for psi_k in spectra]) / n
+        cut, blocks = self.blocks()
+        axes = [axis for axis in self.kinetic_axes if len(blocks) == 1 or axis != cut]
+        t = self.kinetic(axes)
+        n = math.prod(self.space.dims[axis] for axis in axes)
+        potential = self.potential.any()
+        for rows in blocks:
+            chunk = [_cut_rows(psi, cut, rows) for psi in states]
+            if potential:
+                v = _cut_rows(self.potential, cut, rows)
+                total += _overlaps(chunk, [v * psi for psi in chunk])
+            if self.internal is not None:
+                total += _overlaps(chunk, [self.levels(self.internal, psi) for psi in chunk])
+            if axes:
+                total += _spectral_overlaps(chunk, axes, _cut_rows(t, cut, rows)) / n
+        if len(blocks) > 1 and cut in self.kinetic_terms:
+            total += self._cut_kinetic(states, cut)
         return total * self.space.volume_element
+
+    def _cut_kinetic(self, states: list[np.ndarray], cut: int) -> np.ndarray:
+        """sum_k T_cut(k) conj(psi_l(k)) psi_m(k) / N_cut of the cut axis's
+        own kinetic term, from 1-D FFTs along that axis.  T is diagonal in
+        every other index, so each state, viewed as (before, N_cut, after),
+        is cut along the axes before it one index at a time and along those
+        after it into blocks of at most DIAGNOSTIC_CHUNK amplitudes."""
+        dims = self.space.dims
+        shape = (math.prod(dims[:cut]), dims[cut], math.prod(dims[cut + 1:]))
+        t = self.kinetic_terms[cut].reshape(dims[cut], 1)
+        width = max(1, DIAGNOSTIC_CHUNK // dims[cut])
+        total = np.zeros((len(states), len(states)), dtype=np.complex128)
+        for before in range(shape[0]):
+            for start in range(0, shape[2], width):
+                chunk = [psi.reshape(shape)[before, :, start:start + width] for psi in states]
+                total += _spectral_overlaps(chunk, [0], t)
+        return total / dims[cut]
+
+
+def _cut_rows(values: np.ndarray, axis: int, rows: slice) -> np.ndarray:
+    """Rows of an array along one axis; an array that only broadcasts along
+    it (length 1) whole."""
+    if values.shape[axis] == 1:
+        return values
+    return values[(slice(None),) * axis + (rows,)]
 
 
 def _overlaps(bras: list[np.ndarray], kets: list[np.ndarray]) -> np.ndarray:
     """sum conj(bra_l) ket_m over all entries, for every pair: L x M."""
     return np.array([[np.vdot(bra, ket) for ket in kets] for bra in bras])
+
+
+def _spectral_overlaps(states: list[np.ndarray], axes, multiplier: np.ndarray) -> np.ndarray:
+    """sum_k multiplier(k) conj(psi_l(k)) psi_m(k) over the FFTs of the
+    states along `axes`, for every pair: L x L.  The spectra live only for
+    the call."""
+    spectra = [np.fft.fftn(psi, axes=axes) for psi in states]
+    return _overlaps(spectra, [multiplier * psi_k for psi_k in spectra])
 
 
 def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:

@@ -1212,6 +1212,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
 
     phi_free = _free_packet(cfg, mass)
     extraction = extract_relative_state(check.final, phi_free)
+    del check  # the assembled state is not alive through the Schmidt sampling
     psi1 = extraction.state
 
     cut = Bipartition([LABEL_INT, LABEL_A], [LABEL_B])

@@ -7,7 +7,8 @@ with the package under test.  The exceptions are the collision's oracles
 at the end: the grid runs use the package's propagator, on a different
 discretization (the heavy and light coordinates on their own grids) from
 the Jacobi-coordinate run the collision ships, and the per-term map-back
-reads the package's grids; and the test-side helpers at the very end
+reads the package's grids; the whole-array sums of <H> and <H_coupling>,
+which read the grid operator's arrays; and the test-side helpers at the very end
 (moments, purity, a swapped cut, a factor permutation), which only the
 tests use.
 """
@@ -146,6 +147,37 @@ def brute_reduced_density(psi, keep) -> np.ndarray:
 def dense_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) sum |eigenvalues| of the full difference of two density matrices."""
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def whole_array_elements(op, states) -> tuple[np.ndarray, np.ndarray]:
+    """<psi_l|T + V + H_int|psi_m> and <psi_l|g K|psi_m> of a grid operator
+    (`dynamics._GridHamiltonian`), each summed over whole arrays: one FFT
+    over every kinetic axis per state, the whole T and one vdot per pair.
+    It reads the operator's arrays, so it checks how the kernels sum them,
+    not the arrays themselves (the dense oracle above does that)."""
+    def overlaps(bras, kets):
+        return np.array([[np.vdot(bra, ket) for ket in kets] for bra in bras])
+
+    dv = op.space.volume_element
+    coupling = np.zeros((len(states), len(states)), dtype=np.complex128)
+    if op.profile is not None:
+        kets = []
+        for psi in states:
+            k_psi = op.levels(op.coupling, psi)
+            k_psi *= op.profile
+            kets.append(k_psi)
+        coupling = overlaps(states, kets) * dv
+    total = np.zeros((len(states), len(states)), dtype=np.complex128)
+    if op.potential.any():
+        total += overlaps(states, [op.potential * psi for psi in states])
+    if op.internal is not None:
+        total += overlaps(states, [op.levels(op.internal, psi) for psi in states])
+    if op.kinetic_axes:
+        spectra = [np.fft.fftn(psi, axes=op.kinetic_axes) for psi in states]
+        t = op.kinetic()
+        n = math.prod(op.space.dims[axis] for axis in op.kinetic_axes)
+        total += overlaps(spectra, [t * psi_k for psi_k in spectra]) / n
+    return total * dv, coupling
 
 
 def free_gaussian_width(sigma: float, mass: float, hbar: float, t: float) -> float:

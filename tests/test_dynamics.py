@@ -7,7 +7,9 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +26,13 @@ from framesim.hilbert import (
 )
 
 from conftest import COUPLING_K, INTERNAL_H
-from oracles import dense_evolve, dense_hamiltonian, free_gaussian_width, position_std
+from oracles import (
+    dense_evolve,
+    dense_hamiltonian,
+    free_gaussian_width,
+    position_std,
+    whole_array_elements,
+)
 
 
 def random_state(space: Space, seed: int) -> StateVector:
@@ -136,11 +144,48 @@ def test_energy_is_conserved():
     assert max(drifts) / abs(e0) <= 1e-6
 
 
-@pytest.mark.parametrize("system", [small_coupled_system, anchored_coupled_system])
-def test_diagnostic_hamiltonian_matches_dense_oracle(system):
-    """<H> and <H_coupling> of one state, and the L x L overlaps,
-    <psi_l|H|psi_m> and <psi_l|H_coupling|psi_m> of three."""
-    psi, h = system(11)
+def layout_system(order: str, kinetic: str, seed: int):
+    """The level factor q and coordinates x, y (and z) of 8 points each in
+    the factor order `order`, kinetic terms on the coordinates named in
+    `kinetic`, a potential on y and a coupling of y anchored to x."""
+    rng = np.random.default_rng(seed)
+    grids = {"x": fs.Grid(8, -2.0, 2.0), "y": fs.Grid(8, -4.0, 4.0), "z": fs.Grid(8, -3.0, 3.0)}
+    masses = {"x": 7.0, "y": 1.3, "z": 2.1}
+    space = Space(tuple(Factor.level("q", 2) if label == "q"
+                        else Factor.coordinate(label, grids[label]) for label in order))
+    h = fs.HamiltonianSpec(
+        kinetic={label: masses[label] for label in kinetic},
+        potentials={"y": rng.standard_normal(8)},
+        internal=("q", random_hermitian(rng, 2)),
+        interaction=fs.Interaction(
+            subject="y",
+            profile=fs.gaussian_profile(0.9, 1.1),
+            level="q",
+            coupling=random_hermitian(rng, 2),
+            anchor="x",
+        ),
+    )
+    return random_state(space, seed + 1), h
+
+
+# Systems small enough for the dense oracle, and 8 x 8 x 8 x 2 ones with two
+# or three kinetic axes; the level factor first, in the middle and last.
+DENSE_SYSTEMS = {
+    "small": small_coupled_system,
+    "anchored": anchored_coupled_system,
+    **{order: partial(layout_system, order, "xy") for order in ("qxy", "xqy", "xyq")},
+}
+WIDE_SYSTEMS = {
+    f"{order}-T{kinetic}": partial(layout_system, order, kinetic)
+    for order in ("qxyz", "xqyz", "xyzq") for kinetic in ("xyz", "yz")
+}
+SYSTEMS = {**DENSE_SYSTEMS, **WIDE_SYSTEMS}
+
+
+def check_against_dense_oracle(psi, h):
+    """<H> and <H_coupling> of psi, and the L x L overlaps, <psi_l|H|psi_m>
+    and <psi_l|H_coupling|psi_m> of psi and two more states, against the
+    dense Hamiltonian within 1e-10."""
     v = psi.amplitudes.ravel()
     dv = psi.space.volume_element
     full = dense_hamiltonian(psi.space, h)
@@ -156,6 +201,91 @@ def test_diagnostic_hamiltonian_matches_dense_oracle(system):
     for got, operator in zip(matrices, (np.eye(len(full)), full, coupling)):
         want = vs.conj() @ operator @ vs.T * dv
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("system", [small_coupled_system, anchored_coupled_system])
+def test_diagnostic_hamiltonian_matches_dense_oracle(system):
+    """<H> and <H_coupling> of one state, and the L x L overlaps,
+    <psi_l|H|psi_m> and <psi_l|H_coupling|psi_m> of three."""
+    check_against_dense_oracle(*system(11))
+
+
+def diagnostics(psi, h):
+    """total_energy, interaction_energy, and matrix_elements of psi and two
+    more states."""
+    states = [psi, random_state(psi.space, 14), random_state(psi.space, 15)]
+    return (fs.total_energy(psi, h), fs.interaction_energy(psi, h),
+            fs.dynamics.matrix_elements(states, h))
+
+
+@pytest.mark.parametrize("chunk", [8, 64])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_diagnostics_in_blocks_match_the_whole_sums(monkeypatch, name, chunk):
+    """With blocks of `chunk` amplitudes, <H>, <H_coupling> and the L x L
+    matrices still meet the dense oracle's 1e-10 where the space is small
+    enough to build it, and agree with the sums over whole states within
+    1e-13 relative."""
+    psi, h = SYSTEMS[name](11)
+    energy, coupling, matrices = diagnostics(psi, h)
+    monkeypatch.setattr(fs.dynamics, "DIAGNOSTIC_CHUNK", chunk)
+    if psi.amplitudes.size > chunk:
+        assert len(fs.dynamics._GridHamiltonian(psi.space, h).blocks()[1]) > 1
+    if name in DENSE_SYSTEMS:
+        check_against_dense_oracle(psi, h)
+    got_energy, got_coupling, got_matrices = diagnostics(psi, h)
+    assert got_energy == pytest.approx(energy, rel=1e-13)
+    assert got_coupling == pytest.approx(coupling, rel=1e-13)
+    for got, want in zip(got_matrices, matrices):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_one_block_is_the_whole_array_sum(monkeypatch, name):
+    """A state of at most DIAGNOSTIC_CHUNK amplitudes is one block, summed
+    bit for bit as oracles.whole_array_elements sums it, also at a block
+    size of exactly its own size; one amplitude less cuts it."""
+    psi, h = SYSTEMS[name](11)
+    amps = [psi.amplitudes, *(random_state(psi.space, s).amplitudes for s in (14, 15))]
+    op = fs.dynamics._GridHamiltonian(psi.space, h)
+    uncoupled, coupling = whole_array_elements(op, amps)
+    for chunk in (fs.dynamics.DIAGNOSTIC_CHUNK, psi.amplitudes.size):
+        monkeypatch.setattr(fs.dynamics, "DIAGNOSTIC_CHUNK", chunk)
+        assert len(op.blocks()[1]) == 1
+        assert np.array_equal(op.uncoupled_elements(amps), uncoupled)
+        assert np.array_equal(op.coupling_elements(amps), coupling)
+    monkeypatch.setattr(fs.dynamics, "DIAGNOSTIC_CHUNK", psi.amplitudes.size - 1)
+    assert len(op.blocks()[1]) > 1
+
+
+@pytest.mark.parametrize("cm_points", [16, 64])
+def test_checkpoint_diagnostics_memory_is_bounded(cm_points):
+    """Reading <H> and <H_coupling> of a zero-step run adds at most 2.5 MiB
+    to tracemalloc's peak, on a (cm_points, 2, 64, 64) state of 2 MiB and on
+    one four times larger (measured: 2.16 and 2.17 MiB; 4.6 and 18.1 MiB
+    when every state was summed whole)."""
+    rng = np.random.default_rng(21)
+    space = Space((
+        Factor.coordinate("A_cm", fs.Grid(cm_points, -2.0, 2.0)),
+        Factor.level("q", 2),
+        Factor.coordinate("a", fs.Grid(64, -8.0, 8.0)),
+        Factor.coordinate("b", fs.Grid(64, -16.0, 16.0)),
+    ))
+    h = fs.HamiltonianSpec(
+        kinetic={"A_cm": 50.0, "a": 1.0, "b": 1.0},
+        potentials={"a": fs.dynamics.gaussian_profile(-1.0, 2.0)},
+        internal=("q", random_hermitian(rng, 2)),
+        interaction=fs.Interaction(subject="a", profile=fs.gaussian_profile(0.9, 1.1),
+                                   level="q", coupling=random_hermitian(rng, 2),
+                                   anchor="A_cm"),
+    )
+    run = fs.evolve_exact(random_state(space, 22), h, 1e-3, 0)
+    tracemalloc.start()
+    try:
+        run.energies, run.couplings
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 def test_checkpoint_diagnostics_are_taken_when_read(monkeypatch):

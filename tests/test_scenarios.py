@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -463,21 +464,24 @@ def test_collision_exact_memory_peak():
 
 def test_collision_residual_memory_peak():
     """tracemalloc's peak during the residual window stays at or below
-    16.0 MiB (measured: 15.2 MiB; 21.4 MiB while the stacked start, the
-    anchor stack and its mapped copy were alive together)."""
+    12.5 MiB (measured: 11.9 MiB; 15.2 MiB while <T> of the grid-H check
+    held the mapped state's whole spectrum and T times it, and 21.4 MiB
+    while the stacked start, the anchor stack and its mapped copy were alive
+    together)."""
     cfg = ScenarioConfig.from_dict(fast_collision_dict())
     (psi_s,) = fs.scenarios._initial_packets(cfg)["S"]
     phi_int = fs.level_state("A_int", cfg.internal.state)
     peak = traced_peak(fs.scenarios._collision_residual, cfg, phi_int, psi_s)
-    assert peak <= 16.0 * 2**20
+    assert peak <= 12.5 * 2**20
 
 
 def test_run_collision_memory_peak():
     """tracemalloc's peak over the whole fast collision stays at or below
-    16.0 MiB (measured: 15.2 MiB, the residual window's; 21.5 MiB before
-    the residual and the map-back held one full-size array at a time)."""
+    12.5 MiB (measured: 12.2 MiB; 15.2 MiB, the residual window's, while
+    <T> summed whole states; 21.5 MiB before the residual and the map-back
+    held one full-size array at a time)."""
     cfg = ScenarioConfig.from_dict(fast_collision_dict())
-    assert traced_peak(run_collision, cfg) <= 16.0 * 2**20
+    assert traced_peak(run_collision, cfg) <= 12.5 * 2**20
 
 
 def test_collision_requires_collision_config():
@@ -612,6 +616,36 @@ def test_measurement_absorption_and_partition(fast_measurement_report):
     assert rep.partition.free == ("b",)
     assert rep.partition.leakage < 1e-4
     assert rep.free_particle_coupling == 0.0
+
+
+def test_measurement_memory_peak():
+    """tracemalloc's peak over the fast measurement stays at or below
+    14.0 MiB (measured: 13.6 MiB; 27.7 MiB while <H> and <H_coupling> of
+    the assembled state summed it whole and the state stayed alive through
+    the sampling)."""
+    cfg = ScenarioConfig.from_dict(fast_measurement_dict())
+    assert traced_peak(run_position_measurement, cfg) <= 14.0 * 2**20
+
+
+def test_measurement_releases_the_assembled_state(monkeypatch):
+    """No reference to the assembled final state is left when the Schmidt
+    branches are sampled."""
+    assembled, alive = [], []
+    assemble, sampler = fs.scenarios._assemble, fs.scenarios.BranchSampler
+
+    def keep(*args):
+        state = assemble(*args)
+        assembled.append(weakref.ref(state))
+        return state
+
+    def spy(seed):
+        alive.append(assembled[0]() is not None)
+        return sampler(seed)
+
+    monkeypatch.setattr(fs.scenarios, "_assemble", keep)
+    monkeypatch.setattr(fs.scenarios, "BranchSampler", spy)
+    run_position_measurement(ScenarioConfig.from_dict(fast_measurement_dict()))
+    assert alive == [False]
 
 
 def test_measurement_is_deterministic(fast_measurement_report):
