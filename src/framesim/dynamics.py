@@ -49,14 +49,15 @@ bit-identical whatever the number of threads or the caller's factor order.
 The heavy subsystem machinery lives here as well.  evolve_factorized
 returns the final relative state of the product approximation: the
 coupling's anchor is frozen at the heavy packet's centre, and no term
-depends on the heavy mass.  The freely moving packet that multiplies it is
-the scenarios' own run.  factorization_residual measures the norm of the
-neglected center-of-mass kinetic term acting on a relative state that still
-carries explicit anchor-coordinate dependence.  The collision's exact run
-needs nothing more: in Jacobi coordinates its coupling is a profile of the
-relative coordinate alone (an anchor frozen at 0), and its stacked Schmidt
-terms are one more factor that no term acts on, which every operator part
-broadcasts over.  The residual's anchor-resolved state comes the same way,
+depends on the heavy mass.  The collision takes that state, bit for bit
+the same, from the last row of its residual window's stacked run, so
+evolve_factorized is library API.  factorization_residual measures the
+norm of the neglected center-of-mass kinetic term acting on a relative
+state that still carries explicit anchor-coordinate dependence.  The
+collision's exact run needs nothing more: in Jacobi coordinates its
+coupling is a profile of the relative coordinate alone (an anchor frozen at
+0), and its stacked Schmidt terms are one more factor that no term acts on,
+which every operator part broadcasts over.  The residual's anchor-resolved state comes the same way,
 from one stacked relative run of plane waves; only its cross-check
 evaluates a coupling anchored to the window's positions.
 """
@@ -75,6 +76,8 @@ from .errors import ValidationError
 from .hilbert import Factor, Space, StateVector, inner_product
 
 HERMITICITY_TOL = 1e-12
+# The heavy system's center-of-mass factor.
+LABEL_CM = "A_cm"
 # Amplitudes per level slab from which the rows of a step run on threads.
 THREADED_SLAB = 1 << 15
 # Positions per eigh block when the Strang factors are built.
@@ -548,20 +551,18 @@ def evolve_factorized(
     return evolve_exact(psi1_0, h, dt, steps, max(steps, 1)).final
 
 
-def factorization_residual(
-    psi1: StateVector, mass: float, hbar: float = 1.0, cm_label: str = "A_cm"
-) -> float:
+def factorization_residual(psi1: StateVector, mass: float, hbar: float = 1.0) -> float:
     """Norm of the neglected center-of-mass kinetic term P^2/(2 mass) psi1.
 
     psi1 must carry the center-of-mass coordinate explicitly; its dependence
     on that coordinate is differentiated spectrally.  States with no such
     dependence give 0.
     """
-    if not psi1.space.has(cm_label):
+    if not psi1.space.has(LABEL_CM):
         raise ValidationError(
-            f"missing center-of-mass factor {cm_label!r} in {psi1.space.labels}"
+            f"missing center-of-mass factor {LABEL_CM!r} in {psi1.space.labels}"
         )
-    op = _GridHamiltonian(psi1.space, HamiltonianSpec(kinetic={cm_label: mass}, hbar=hbar))
+    op = _GridHamiltonian(psi1.space, HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=hbar))
     amps = op.spectral(op.kinetic(), psi1.amplitudes)
     return float(math.sqrt(np.sum(np.abs(amps) ** 2) * psi1.space.volume_element))
 

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamics import LABEL_CM
 from .errors import PropagationError, SpaceMismatchError, ValidationError
 from .hilbert import (
     Grid,
@@ -42,7 +43,6 @@ from .schmidt import (
     SchmidtResult,
     coefficient_matrix,
     schmidt_decompose,
-    DEFAULT_TRUNC_TOL,
 )
 
 MIN_OVERLAP_WEIGHT = 1e-6
@@ -106,7 +106,6 @@ def lift_to_auxiliary(
     psi_s: StateVector,
     cm_params: GaussianParams,
     grid_cm: Grid,
-    cm_label: str = "A_cm",
 ) -> StateVector:
     """Product state packet(cm) x internal x light-system, normalized.
 
@@ -114,7 +113,7 @@ def lift_to_auxiliary(
     momentum, so the auxiliary frame is co-moving with the heavy system and
     the later coordinate relabeling back is the identity.
     """
-    phi_cm = make_gaussian(grid_cm, cm_params, cm_label)
+    phi_cm = make_gaussian(grid_cm, cm_params, LABEL_CM)
     return tensor_product([phi_cm, phi_internal, psi_s]).normalized()
 
 
@@ -159,11 +158,7 @@ def extract_relative_state(
     return ExtractionResult(raw.normalized(), float(overlap_weight))
 
 
-def transform_to_intrinsic(
-    psi1: StateVector,
-    cut: Bipartition,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> SchmidtResult:
+def transform_to_intrinsic(psi1: StateVector, cut: Bipartition) -> SchmidtResult:
     """Expand a relative state over Schmidt branches across the given cut.
 
     Branch j is the product of the paired factor states j, weighted by its
@@ -171,7 +166,7 @@ def transform_to_intrinsic(
     BranchSampler(seed).draw(result), is the discontinuous and generally
     irreversible reduction of the state.
     """
-    return schmidt_decompose(psi1, cut, trunc_tol=trunc_tol)
+    return schmidt_decompose(psi1, cut)
 
 
 def schmidt_basis(result: SchmidtResult, keep: Sequence[str]) -> np.ndarray:

@@ -212,14 +212,12 @@ class GaussianParams:
         cls,
         mass: float,
         sigma_ref: float,
-        r0: float = 0.0,
-        p0: float = 0.0,
         hbar: float = 1.0,
         mass_unit: float = 1.0,
     ) -> "GaussianParams":
-        """Packet with sigma = sigma_ref / sqrt(mass / mass_unit)."""
+        """Packet at rest at 0 with sigma = sigma_ref / sqrt(mass / mass_unit)."""
         sigma = sigma_ref / math.sqrt(mass / mass_unit)
-        return cls(r0=r0, p0=p0, sigma=sigma, mass=mass, hbar=hbar, mass_unit=mass_unit)
+        return cls(r0=0.0, p0=0.0, sigma=sigma, mass=mass, hbar=hbar, mass_unit=mass_unit)
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
         """(pi sigma^2)^(-1/4) exp(i p0 x / hbar) exp(-(x-r0)^2 / 2 sigma^2)
@@ -285,9 +283,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes) * a.space.volume_element)
 
 
-def superpose(
-    terms: Iterable[tuple[complex, StateVector]], normalize: bool = False
-) -> StateVector:
+def superpose(terms: Iterable[tuple[complex, StateVector]]) -> StateVector:
     """Linear combination sum(c_i * psi_i) of states on one common space."""
     terms = list(terms)
     if not terms:
@@ -298,8 +294,7 @@ def superpose(
         if state.space != space:
             raise SpaceMismatchError("superpose needs all states on one space")
         amps = amps + coeff * state.amplitudes
-    out = StateVector(space, amps)
-    return out.normalized() if normalize else out
+    return StateVector(space, amps)
 
 
 def position_marginal(state: StateVector, label: str) -> np.ndarray:

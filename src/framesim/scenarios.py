@@ -20,8 +20,11 @@ one small stacked relative run from its start's split (_jacobi_split),
 mapped to the heavy and light grids only at t_final (_collision_exact).
 The residual window is a relative run too: its anchors share one H_rel, so
 the plane waves of the particle packet run once as one stacked state,
-summed per anchor at t_final (_collision_residual).  The measurement runs
-its compounds as one stacked state and its probe packets as another.
+summed per anchor at t_final (_collision_residual).  The product
+approximation's relative state runs under that H_rel as well, as the same
+stack's last row, so one mass-free run serves the whole sweep.  The
+measurement runs its compounds as one stacked state and its probe packets
+as another.
 
 Absorption in the measurement scenario is modeled by static trapping wells
 that hold the absorbed particle near the heavy system; this is a simulator
@@ -44,10 +47,11 @@ import numpy as np
 from .dynamics import (
     HamiltonianSpec,
     Interaction,
+    LABEL_CM,
     PropagationResult,
     check_time_step,
     evolve_exact,
-    evolve_factorized,
+    evolve_factorized,  # unused here; perfbench/spans.py wraps it by this name
     factorization_residual,
     fidelity_deficit,
     gaussian_profile,
@@ -88,7 +92,6 @@ from .schmidt import (
     schmidt_decompose,
 )
 
-LABEL_CM = "A_cm"
 LABEL_INT = "A_int"
 LABEL_S = "S"
 LABEL_A = "a"
@@ -634,8 +637,9 @@ def _collision_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> Hamiltoni
     )
 
 
-def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
-    """Residual of the dropped center-of-mass kinetic term, per configured mass.
+def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float], StateVector]:
+    """Residual of the dropped center-of-mass kinetic term, per configured
+    mass, and the product approximation's relative state at t_final.
 
     The relative state is resolved over anchor positions X_j (uniform
     weight, no center-of-mass kinetic term): anchor X_j holds the particle
@@ -644,13 +648,16 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     chi_n(r), with chi_n the plane wave of psi_s's Fourier coefficient c_n,
     so one stacked run of the modes with |c_n| above the truncation
     tolerance serves every anchor (or of the shifted starts themselves,
-    where the anchors are fewer).  At t_final one matrix product sums each
-    anchor's state Phi_j(r), and a spectral shift evaluates it at
-    r = x - X_j.  No term depends on the mass, so the run is made once per
-    sweep; each mass enters only through P^2 / 2 mass on that state.  The
-    shift is made in place, and the anchor stack is summed again from the
-    run's final for its own check, so one anchor-sized array is alive at a
-    time.
+    where the anchors are fewer).  The product approximation's relative
+    state evolves under the same H_rel (the coupling's anchor frozen at the
+    heavy packet's centre), so psi_s (x) phi_int runs as the stack's last
+    row and is copied out at t_final.  There one matrix product sums each
+    anchor's state Phi_j(r) from the other rows, and a spectral shift
+    evaluates it at r = x - X_j.  No term depends on the mass, so the run is
+    made once per sweep; each mass enters only through P^2 / 2 mass on that
+    state.  The shift is made in place, and the anchor stack is summed again
+    from the run's final for its own check, so one anchor-sized array is
+    alive at a time.
 
     The mapped state's norm, <H> and <H_coupling> under the grid H must
     match the anchor stack's under H_rel.  H_rel carries g(r) round the
@@ -671,15 +678,19 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     weights = np.exp(1j * np.outer(anchors, k[keep]))
     if len(waves) > len(anchors):
         waves, weights = weights @ waves, np.eye(len(anchors))
+    rows = np.concatenate([waves, psi_s.amplitudes[None]])
     stacked = StateVector(
-        Space((Factor.level(LABEL_K, len(waves)), *phi_int.space.factors, *psi_s.space.factors)),
-        waves[:, None, :] * phi_int.amplitudes[:, None],
+        Space((Factor.level(LABEL_K, len(rows)), *phi_int.space.factors, *psi_s.space.factors)),
+        rows[:, None, :] * phi_int.amplitudes[:, None],
     )
     h_rel = _relative_hamiltonian(cfg, None)
     steps = _steps_for(cfg)
     final = evolve_exact(stacked, h_rel, cfg.dt, steps, max(steps, 1)).final.amplitudes
-    space = Space((*window.space.factors, *stacked.space.factors[1:]))
-    del stacked, waves
+    # A copy, so that the stack's final is freed at return.
+    relative = StateVector(Space(stacked.space.factors[1:]), final[-1].copy())
+    final = final[:-1]
+    space = Space((*window.space.factors, *relative.space.factors))
+    del stacked, waves, rows
 
     def anchor_stack() -> np.ndarray:
         """Each anchor's state Phi_j(r), from the stacked run's final."""
@@ -701,12 +712,12 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> list[float]:
     ring = replace(h.interaction, profile=lambda d: g(d - period * np.round(d / period)))
     on_grid = _on_grid(evolve_exact(mapped, replace(h, interaction=ring), cfg.dt, 0))
     # ||P^2 / 2M psi|| is ||P^2 / 2 psi|| / M.
-    unit = factorization_residual(mapped, 1.0, cfg.hbar, LABEL_CM)
+    unit = factorization_residual(mapped, 1.0, cfg.hbar)
     del mapped
     stack = evolve_exact(StateVector(space, anchor_stack()), h_rel, cfg.dt, 0)
     _check_mapping(on_grid, stack.final.norm, stack.energies[0], stack.couplings[0],
                    "value in the relative anchor stack", WINDOW_TOL)
-    return [unit / m for m in cfg.center_of_mass.masses]
+    return [unit / m for m in cfg.center_of_mass.masses], relative
 
 
 def _relative_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> HamiltonianSpec:
@@ -900,7 +911,9 @@ def _collision_point(
 
 
 def run_collision(cfg: ScenarioConfig) -> CollisionReport:
-    """Collision experiment over the configured mass sweep."""
+    """Collision experiment over the configured mass sweep: one Jacobi run
+    per mass, and one mass-free relative run per sweep that gives the
+    residual window and the product approximation's relative state."""
     if cfg.scenario != "collision":
         raise ValidationError(f"config is for scenario {cfg.scenario!r}, not collision")
     (psi_s,) = _initial_packets(cfg)[LABEL_S]
@@ -909,9 +922,7 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
     # Every start is checked uncoupled before anything propagates; only its
     # Schmidt split is kept.
     splits = [_jacobi_split(cfg, mass, phi_int) for mass in masses]
-    residuals = _collision_residual(cfg, phi_int, psi_s)
-    relative = evolve_factorized(tensor_product([phi_int, psi_s]),
-                                 _collision_hamiltonian(cfg, None), cfg.dt, _steps_for(cfg))
+    residuals, relative = _collision_residual(cfg, phi_int, psi_s)
     return CollisionReport([
         _collision_point(cfg, m, split, r, relative)
         for m, split, r in zip(masses, splits, residuals)
@@ -975,7 +986,7 @@ def detect_partition(psi1: StateVector, geometry: PartitionGeometry) -> Partitio
         inside[lab] = _inside_mask(space.factor(lab).grid, geometry).reshape(shape)
 
     candidates: list[dict] = []
-    chosen: tuple[tuple[str, ...], tuple[str, ...], np.ndarray] | None = None
+    chosen: tuple[tuple[str, ...], tuple[str, ...], np.ndarray, float] | None = None
     for size in range(1, len(coords)):
         for absorbed in combinations(sorted(coords), size):
             free = tuple(lab for lab in sorted(coords) if lab not in absorbed)
@@ -989,7 +1000,7 @@ def detect_partition(psi1: StateVector, geometry: PartitionGeometry) -> Partitio
                 {"absorbed": list(absorbed), "free": list(free), "leakage": leakage}
             )
             if chosen is None and leakage < geometry.eps:
-                chosen = (absorbed, free, ok)
+                chosen = (absorbed, free, ok, leakage)
         if chosen is not None:
             break
 
@@ -1001,11 +1012,7 @@ def detect_partition(psi1: StateVector, geometry: PartitionGeometry) -> Partitio
             candidates=candidates,
         )
 
-    absorbed, free, ok = chosen
-    leakage = next(
-        c["leakage"] for c in candidates
-        if tuple(c["absorbed"]) == absorbed and tuple(c["free"]) == free
-    )
+    absorbed, free, ok, leakage = chosen
     ok_state = StateVector(space, np.where(ok, psi1.amplitudes, 0.0))
     bad_state = StateVector(space, np.where(ok, 0.0, psi1.amplitudes))
     rest = tuple(lab for lab in space.labels if lab not in free)
@@ -1185,7 +1192,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     ).norm
     weights = coeffs / pair_norm
     phi_int = level_state(LABEL_INT, cfg.internal.state)
-    compounds = _stack([lift_to_auxiliary(phi_int, a, cm_params, grid_cm, LABEL_CM)
+    compounds = _stack([lift_to_auxiliary(phi_int, a, cm_params, grid_cm)
                         for a in a_states])
 
     h_compound, h_b, h = _measurement_hamiltonians(cfg, mass)

@@ -129,7 +129,6 @@ def schmidt_decompose(
     psi: StateVector,
     cut: Bipartition,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> SchmidtResult:
     """Schmidt decomposition of a normalized state across a bipartition.
 
@@ -174,7 +173,7 @@ def schmidt_decompose(
 
     groups: list[list[int]] = []
     if s.size:
-        tol = degeneracy_tol * float(s[0]) if s[0] > 0 else degeneracy_tol
+        tol = DEGENERACY_TOL * float(s[0]) if s[0] > 0 else DEGENERACY_TOL
         current = [0]
         for j in range(1, s.size):
             if abs(float(s[j - 1] - s[j])) < tol:

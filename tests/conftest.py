@@ -119,7 +119,7 @@ class MiniCollision:
         half = 10.0 * params.sigma
         grid_cm = fs.Grid(128, -half, half)
         phi_cm = make_gaussian(grid_cm, params, "A_cm")
-        psi0 = fs.lift_to_auxiliary(self.phi_int, self.psi_s, params, grid_cm, "A_cm")
+        psi0 = fs.lift_to_auxiliary(self.phi_int, self.psi_s, params, grid_cm)
         h = self.hamiltonian(mass)
         exact = fs.evolve_exact(psi0, h, self.dt, self.steps, self.steps)
         h_cm = fs.HamiltonianSpec(kinetic={"A_cm": mass}, hbar=self.hbar)

@@ -207,32 +207,37 @@ def grid_collision_exact(cfg, mass: float, split):
     (psi_s,) = scenarios._initial_packets(cfg)["S"]
     phi_int = level_state("A_int", cfg.internal.state)
     grid_cm, cm_params = scenarios._cm_setup(cfg, mass)
-    psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm, "A_cm")
+    psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm)
     run = evolve_exact(psi0, scenarios._collision_hamiltonian(cfg, mass), cfg.dt,
                        scenarios._steps_for(cfg), cfg.checkpoint_every)
     return run.final, run, 0.0
 
 
-def grid_collision_residual(cfg, phi_int, psi_s) -> list[float]:
-    """The collision's residual per configured mass, in the form of
-    `scenarios._collision_residual`, from an anchor-resolved lab-frame run.
+def grid_collision_residual(cfg, phi_int, psi_s):
+    """The collision's residual per configured mass and the product
+    approximation's relative state, in the form of
+    `scenarios._collision_residual`, from an anchor-resolved lab-frame run
+    and a separate factorized run.
 
     The window of anchor positions X, each with the particle packet at its
     start, is propagated as one (A_cm, A_int, S) array under the collision
     H with no center-of-mass kinetic term: the coupling g(x - X) is
     evaluated at each anchor without periodic images, and nothing moves X.
-    Each mass then enters through P^2 / 2 mass on the final state.
+    Each mass then enters through P^2 / 2 mass on the final state.  The
+    relative state is phi_int (x) psi_s under the same H with the anchor
+    frozen at 0 (`evolve_factorized`).
     """
     from framesim import scenarios
-    from framesim.dynamics import evolve_exact, factorization_residual
+    from framesim.dynamics import evolve_exact, evolve_factorized, factorization_residual
     from framesim.hilbert import tensor_product
 
     psi0 = tensor_product([scenarios._residual_window(cfg), phi_int, psi_s])
+    h = scenarios._collision_hamiltonian(cfg, None)
     steps = scenarios._steps_for(cfg)
-    final = evolve_exact(psi0, scenarios._collision_hamiltonian(cfg, None), cfg.dt, steps,
-                         max(steps, 1)).final
-    return [factorization_residual(final, m, cfg.hbar, "A_cm")
-            for m in cfg.center_of_mass.masses]
+    final = evolve_exact(psi0, h, cfg.dt, steps, max(steps, 1)).final
+    relative = evolve_factorized(tensor_product([phi_int, psi_s]), h, cfg.dt, steps)
+    return [factorization_residual(final, m, cfg.hbar)
+            for m in cfg.center_of_mass.masses], relative
 
 
 def jacobi_start(cfg, mass: float, phi_int, grid_big_r):

@@ -39,7 +39,7 @@ def lifted():
     params = fs.GaussianParams(r0=0.0, p0=0.0, sigma=0.2, mass=100.0)
     phi_int = level_state("A_int", [0.8, 0.6j])
     psi_s = make_gaussian(grid_s, fs.GaussianParams(r0=-2.0, p0=2.0, sigma=0.8, mass=1.0), "S")
-    psi = fs.lift_to_auxiliary(phi_int, psi_s, params, grid_cm, "A_cm")
+    psi = fs.lift_to_auxiliary(phi_int, psi_s, params, grid_cm)
     return psi, phi_int, psi_s, params, grid_cm
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
+import os
 import re
 import tracemalloc
 import weakref
@@ -232,16 +234,16 @@ def test_collision_propagates_residual_once(monkeypatch):
     cm = cfg.center_of_mass
     m = cfg.particle.mass
     # The residual window and the factorized relative state do not depend on
-    # the mass: each is propagated once per sweep.  The window is one stacked
-    # run of the packet's plane waves, fewer than the anchors here, under the
-    # particle's own kinetic mass; its state mapped to the anchors is checked
-    # by two zero-step evaluations, under the grid H and under H_rel.
+    # the mass: both are one stacked run per sweep, under the particle's own
+    # kinetic mass, of the packet's K plane waves (fewer than the anchors
+    # here) and, as its last row, the relative state's start.  The window's
+    # state mapped to the anchors is checked by two zero-step evaluations,
+    # under the grid H and under H_rel.
     (waves,) = [dims for dims, kinetic, steps in calls
-                if kinetic == (("S", m),) and steps and len(dims) == 3]
-    assert 16 < waves[0] < cm.residual_points and waves[1:] == (2, 512)
+                if kinetic == (("S", m),) and steps]
+    assert 16 < waves[0] - 1 < cm.residual_points and waves[1:] == (2, 512)
     assert calls[waves, (("S", m),), True] == 1
     assert calls[(cm.residual_points, 2, 512), (("S", m),), False] == 2
-    assert calls[(2, 512), (("S", m),), True] == 1
     assert starts == Counter(m * mass / (m + mass) for mass in cm.masses)
     for mass in cm.masses:
         # One stacked relative run with the reduced mass, over the Schmidt
@@ -252,7 +254,7 @@ def test_collision_propagates_residual_once(monkeypatch):
         assert len(stacked) == 3 and 1 < stacked[0] < 16 and calls[stacked, mu, True] == 1
         assert calls[(cm.points, 2, 512), (("A_cm", mass), ("S", m)), False] == 1
         assert calls[(cm.points,), (("A_cm", mass),), True] == 1
-    assert sum(calls.values()) == 3 * len(cm.masses) + 4
+    assert sum(calls.values()) == 3 * len(cm.masses) + 3
     scaled = [p.residual_norm * p.mass for p in report.points]
     assert scaled[0] > 0.0
     assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
@@ -369,10 +371,43 @@ def test_residual_with_fewer_anchors_than_plane_waves(monkeypatch):
         return original(psi0, h, dt, steps, checkpoint_every)
 
     monkeypatch.setattr("framesim.scenarios.evolve_exact", spy)
-    got = fs.scenarios._collision_residual(cfg, phi_int, psi_s)
-    assert stacks == [(64, 2, 512)]
-    want = grid_collision_residual(cfg, phi_int, psi_s)
+    got, _ = fs.scenarios._collision_residual(cfg, phi_int, psi_s)
+    assert stacks == [(65, 2, 512)]
+    want, _ = grid_collision_residual(cfg, phi_int, psi_s)
     assert got == pytest.approx(want, rel=5e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+@pytest.mark.parametrize("anchors", [None, 64], ids=["plane-waves", "shifted-starts"])
+def test_residual_stack_carries_the_factorized_relative_state(monkeypatch, anchors, threaded):
+    """The stack's last row, psi_s (x) phi_int, is bit-equal to
+    evolve_factorized's run of that state alone, with the rows run inline
+    or on threads, in either basis of the residual window."""
+    raw = fast_collision_dict()
+    if anchors is not None:
+        raw["center_of_mass"]["residual_points"] = anchors
+    cfg = ScenarioConfig.from_dict(raw)
+    (psi_s,) = fs.scenarios._initial_packets(cfg)["S"]
+    phi_int = fs.level_state("A_int", cfg.internal.state)
+    want = fs.evolve_factorized(tensor_product([phi_int, psi_s]),
+                                fs.scenarios._collision_hamiltonian(cfg, None), cfg.dt,
+                                fs.scenarios._steps_for(cfg))
+    pools = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(fs.dynamics, "THREADED_SLAB", 1 if threaded else 1 << 62)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _, relative = fs.scenarios._collision_residual(cfg, phi_int, psi_s)
+    assert relative.space == want.space
+    assert np.array_equal(relative.amplitudes, want.amplitudes)
+    assert relative.amplitudes.flags.owndata
+    # The stacked run; the zero-step checks take no steps, and make no pool.
+    assert pools == ([1] if threaded else [])
 
 
 def test_collision_rejects_a_mismatched_residual_mapping(monkeypatch, tmp_path, capsys):
@@ -714,11 +749,10 @@ def dense_measurement(cfg: ScenarioConfig) -> dict:
         [
             (c, tensor_product([a, b]))
             for c, a, b in zip(m.coefficients, packets(m.a, "a"), packets(m.b, "b"))
-        ],
-        normalize=True,
-    )
+        ]
+    ).normalized()
     phi_int = fs.level_state("A_int", cfg.internal.state)
-    psi0 = fs.lift_to_auxiliary(phi_int, psi_s, params, grid_cm, "A_cm")
+    psi0 = fs.lift_to_auxiliary(phi_int, psi_s, params, grid_cm)
     h = fs.HamiltonianSpec(
         kinetic={"A_cm": mass, "a": m.a.mass, "b": m.b.mass},
         potentials={"a": m.a.trap.potential},
