@@ -22,14 +22,14 @@ W/2 T W T ... W T and one position-local factor per step.  Each stored
 state gets its own closing W/2: it is a whole Strang step, and the running
 product does not depend on where the checkpoints fall.  <H> and
 <H_coupling> of the stored checkpoints are the 1 x 1 case of the
-operator's matrix-element kernels, taken when first read; the same kernels
-give the L x L matrices <psi_l|H|psi_m> of a list of states.  They stream a
-large state in blocks of whole rows of its first non-level axis, at most
-DIAGNOSTIC_CHUNK amplitudes each, so their temporaries do not grow with the
-state: each block takes the kinetic terms of the other axes from one FFT,
-and the cut axis's own term comes from 1-D FFTs along it on blocks cut
-across it.  A state of at most one block is summed whole, as one FFT over
-every kinetic axis and one product per pair.
+operator's one matrix-element pass, taken together when first read; the
+same pass gives the L x L matrices <psi_l|H|psi_m> of a list of states.  It
+streams every state in blocks of at most DIAGNOSTIC_CHUNK amplitudes, so
+its temporaries do not grow with the state.  The position-local parts are
+summed over blocks of whole rows of the first non-level axis.  T is summed
+one kinetic axis at a time, from 1-D FFTs along that axis alone: by
+Parseval the other axes need no transform.  The center-of-mass residual
+||P^2/2M psi||^2 is the same per-axis sum with the multiplier T^2.
 
 A step runs level row by level row between two preallocated buffers that
 hold the state level factor first, so each level slab is contiguous (psi0
@@ -219,12 +219,10 @@ class _GridHamiltonian:
                 )
             self.level_axis = space.axis(level_label)
 
-    def kinetic(self, axes=None) -> np.ndarray:
-        """T(k) over the kinetic axes (or those of them in `axes`), summed from
-        its per-axis terms on each use, so that no full-size copy stays alive
-        while a run propagates."""
-        return sum((t for axis, t in self.kinetic_terms.items() if axes is None or axis in axes),
-                   np.zeros((1,) * len(self.space.dims)))
+    def kinetic(self) -> np.ndarray:
+        """T(k) over the kinetic axes, summed from its per-axis terms on each
+        use, so that no full-size copy stays alive while a run propagates."""
+        return sum(self.kinetic_terms.values(), np.zeros((1,) * len(self.space.dims)))
 
     def check_time_step(self, dt: float) -> None:
         if dt == 0.0:
@@ -342,62 +340,31 @@ class _GridHamiltonian:
         rows = max(1, DIAGNOSTIC_CHUNK * dims[cut] // math.prod(dims))
         return cut, [slice(start, start + rows) for start in range(0, dims[cut], rows)]
 
-    def coupling_elements(self, states: list[np.ndarray]) -> np.ndarray:
-        """<psi_l| g(x) K |psi_m> for every pair of the states, an L x L
-        matrix summed over `blocks`; zeros without a coupling."""
-        total = np.zeros((len(states), len(states)), dtype=np.complex128)
-        if self.profile is None:
-            return total
+    def elements(self, states: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """<psi_l| T + V + H_int |psi_m> and <psi_l| g(x) K |psi_m> for every
+        pair of the states, two L x L matrices.  The position-local parts are
+        summed over `blocks`, T one kinetic axis at a time (`_spectral_sum`).
+        A zero V adds nothing and is skipped; without a coupling the second
+        matrix is zeros."""
+        uncoupled, coupling = (np.zeros((len(states), len(states)), dtype=np.complex128)
+                               for _ in range(2))
         cut, blocks = self.blocks()
-        for rows in blocks:
-            chunk = [_cut_rows(psi, cut, rows) for psi in states]
-            profile = _cut_rows(self.profile, cut, rows)
-            kets = (self.levels(self.coupling, psi) for psi in chunk)
-            total += _overlaps(chunk, [np.multiply(k_psi, profile, out=k_psi) for k_psi in kets])
-        return total * self.space.volume_element
-
-    def uncoupled_elements(self, states: list[np.ndarray]) -> np.ndarray:
-        """<psi_l| T + V + H_int |psi_m> for every pair of the states, an
-        L x L matrix summed over `blocks`; the T part is
-        sum_k T(k) conj(psi_l(k)) psi_m(k) / N from one FFT per block over
-        its kinetic axes.  When a state spans more than one block, the cut
-        axis's own kinetic term is summed apart, from 1-D FFTs along it
-        (`_cut_kinetic`).  A zero V adds nothing and is skipped."""
-        total = np.zeros((len(states), len(states)), dtype=np.complex128)
-        cut, blocks = self.blocks()
-        axes = [axis for axis in self.kinetic_axes if len(blocks) == 1 or axis != cut]
-        t = self.kinetic(axes)
-        n = math.prod(self.space.dims[axis] for axis in axes)
         potential = self.potential.any()
         for rows in blocks:
             chunk = [_cut_rows(psi, cut, rows) for psi in states]
+            if self.profile is not None:
+                profile = _cut_rows(self.profile, cut, rows)
+                kets = (self.levels(self.coupling, psi) for psi in chunk)
+                coupling += _overlaps(chunk, [np.multiply(k, profile, out=k) for k in kets])
             if potential:
                 v = _cut_rows(self.potential, cut, rows)
-                total += _overlaps(chunk, [v * psi for psi in chunk])
+                uncoupled += _overlaps(chunk, [v * psi for psi in chunk])
             if self.internal is not None:
-                total += _overlaps(chunk, [self.levels(self.internal, psi) for psi in chunk])
-            if axes:
-                total += _spectral_overlaps(chunk, axes, _cut_rows(t, cut, rows)) / n
-        if len(blocks) > 1 and cut in self.kinetic_terms:
-            total += self._cut_kinetic(states, cut)
-        return total * self.space.volume_element
-
-    def _cut_kinetic(self, states: list[np.ndarray], cut: int) -> np.ndarray:
-        """sum_k T_cut(k) conj(psi_l(k)) psi_m(k) / N_cut of the cut axis's
-        own kinetic term, from 1-D FFTs along that axis.  T is diagonal in
-        every other index, so each state, viewed as (before, N_cut, after),
-        is cut along the axes before it one index at a time and along those
-        after it into blocks of at most DIAGNOSTIC_CHUNK amplitudes."""
-        dims = self.space.dims
-        shape = (math.prod(dims[:cut]), dims[cut], math.prod(dims[cut + 1:]))
-        t = self.kinetic_terms[cut].reshape(dims[cut], 1)
-        width = max(1, DIAGNOSTIC_CHUNK // dims[cut])
-        total = np.zeros((len(states), len(states)), dtype=np.complex128)
-        for before in range(shape[0]):
-            for start in range(0, shape[2], width):
-                chunk = [psi.reshape(shape)[before, :, start:start + width] for psi in states]
-                total += _spectral_overlaps(chunk, [0], t)
-        return total / dims[cut]
+                uncoupled += _overlaps(chunk, [self.levels(self.internal, psi) for psi in chunk])
+        for axis, t in self.kinetic_terms.items():
+            uncoupled += _spectral_sum(states, axis, t)
+        dv = self.space.volume_element
+        return uncoupled * dv, coupling * dv
 
 
 def _cut_rows(values: np.ndarray, axis: int, rows: slice) -> np.ndarray:
@@ -413,12 +380,27 @@ def _overlaps(bras: list[np.ndarray], kets: list[np.ndarray]) -> np.ndarray:
     return np.array([[np.vdot(bra, ket) for ket in kets] for bra in bras])
 
 
-def _spectral_overlaps(states: list[np.ndarray], axes, multiplier: np.ndarray) -> np.ndarray:
-    """sum_k multiplier(k) conj(psi_l(k)) psi_m(k) over the FFTs of the
-    states along `axes`, for every pair: L x L.  The spectra live only for
-    the call."""
-    spectra = [np.fft.fftn(psi, axes=axes) for psi in states]
-    return _overlaps(spectra, [multiplier * psi_k for psi_k in spectra])
+def _spectral_sum(states: list[np.ndarray], axis: int, multiplier: np.ndarray) -> np.ndarray:
+    """sum_k multiplier(k) conj(psi_l(k)) psi_m(k) / N over the 1-D FFTs of
+    the states along one axis of N points, for every pair: L x L.  By
+    Parseval this is <psi_l| m(k) |psi_m> summed over the other indices,
+    which need no transform.  Each state, viewed as (before, N, after), is
+    cut into blocks of at most DIAGNOSTIC_CHUNK amplitudes: whole (N, after)
+    slabs grouped while they fit, otherwise columns of one slab."""
+    dims = states[0].shape
+    n, after = dims[axis], math.prod(dims[axis + 1:])
+    shape = (math.prod(dims[:axis]), n, after)
+    slabs = max(1, DIAGNOSTIC_CHUNK // (n * after))
+    width = min(after, max(1, DIAGNOSTIC_CHUNK // n))
+    m = multiplier.reshape(n, 1)
+    views = [psi.reshape(shape) for psi in states]
+    total = np.zeros((len(states), len(states)), dtype=np.complex128)
+    for start in range(0, shape[0], slabs):
+        for column in range(0, after, width):
+            block = (slice(start, start + slabs), slice(None), slice(column, column + width))
+            spectra = [np.fft.fft(psi[block], axis=1) for psi in views]
+            total += _overlaps(spectra, [m * psi_k for psi_k in spectra])
+    return total / n
 
 
 def check_time_step(space: Space, h: HamiltonianSpec, dt: float) -> None:
@@ -438,14 +420,22 @@ class PropagationResult:
     operator: _GridHamiltonian = field(repr=False)
 
     @cached_property
-    def couplings(self) -> list[float]:
-        return [float(self.operator.coupling_elements([s.amplitudes])[0, 0].real)
-                for _, s in self.trajectory]
+    def _diagnostics(self) -> list[tuple[float, float]]:
+        """(<H>, <H_coupling>) of each checkpoint, from one pass each."""
+        pairs = []
+        for _, s in self.trajectory:
+            uncoupled, coupling = (float(m[0, 0].real)
+                                   for m in self.operator.elements([s.amplitudes]))
+            pairs.append((uncoupled + coupling, coupling))
+        return pairs
 
-    @cached_property
+    @property
     def energies(self) -> list[float]:
-        return [float(self.operator.uncoupled_elements([s.amplitudes])[0, 0].real) + c
-                for (_, s), c in zip(self.trajectory, self.couplings)]
+        return [energy for energy, _ in self._diagnostics]
+
+    @property
+    def couplings(self) -> list[float]:
+        return [coupling for _, coupling in self._diagnostics]
 
 
 def evolve_exact(
@@ -563,8 +553,10 @@ def factorization_residual(psi1: StateVector, mass: float, hbar: float = 1.0) ->
             f"missing center-of-mass factor {LABEL_CM!r} in {psi1.space.labels}"
         )
     op = _GridHamiltonian(psi1.space, HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=hbar))
-    amps = op.spectral(op.kinetic(), psi1.amplitudes)
-    return float(math.sqrt(np.sum(np.abs(amps) ** 2) * psi1.space.volume_element))
+    # ||P^2/2M psi||^2 = sum_k T(k)^2 |psi(k)|^2 / N by Parseval.
+    axis = psi1.space.axis(LABEL_CM)
+    square = _spectral_sum([psi1.amplitudes], axis, op.kinetic_terms[axis] ** 2)[0, 0].real
+    return float(math.sqrt(square * psi1.space.volume_element))
 
 
 def fidelity_deficit(a: StateVector, b: StateVector) -> float:
@@ -579,24 +571,20 @@ def matrix_elements(
     pair of states on one space, each an L x L matrix."""
     op = _GridHamiltonian(states[0].space, h)
     amps = [s.amplitudes for s in states]
-    gram = _overlaps(amps, amps)
-    # The diagonal is summed from |psi|^2, as StateVector.norm sums it.
-    np.fill_diagonal(gram, [np.sum(np.abs(a) ** 2) for a in amps])
-    gram *= op.space.volume_element
-    coupling = op.coupling_elements(amps)
-    return gram, op.uncoupled_elements(amps) + coupling, coupling
+    uncoupled, coupling = op.elements(amps)
+    return _overlaps(amps, amps) * op.space.volume_element, uncoupled + coupling, coupling
 
 
 def total_energy(state: StateVector, h: HamiltonianSpec) -> float:
     """<H> of one state."""
-    _, energy, _ = matrix_elements([state], h)
-    return float(energy[0, 0].real)
+    uncoupled, coupling = _GridHamiltonian(state.space, h).elements([state.amplitudes])
+    return float((uncoupled + coupling)[0, 0].real)
 
 
 def interaction_energy(state: StateVector, h: HamiltonianSpec) -> float:
     """Expectation of the coupling term alone."""
-    op = _GridHamiltonian(state.space, h)
-    return float(op.coupling_elements([state.amplitudes])[0, 0].real)
+    _, coupling = _GridHamiltonian(state.space, h).elements([state.amplitudes])
+    return float(coupling[0, 0].real)
 
 
 def gaussian_profile(strength: float, width: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -167,8 +167,8 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        total = np.sum(np.abs(self.amplitudes) ** 2) * self.space.volume_element
-        return float(math.sqrt(total))
+        amps = self.amplitudes
+        return float(math.sqrt(np.vdot(amps, amps).real * self.space.volume_element))
 
     def normalized(self) -> "StateVector":
         n = self.norm

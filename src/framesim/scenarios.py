@@ -715,8 +715,7 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float
     unit = factorization_residual(mapped, 1.0, cfg.hbar)
     del mapped
     stack = evolve_exact(StateVector(space, anchor_stack()), h_rel, cfg.dt, 0)
-    _check_mapping(on_grid, stack.final.norm, stack.energies[0], stack.couplings[0],
-                   "value in the relative anchor stack", WINDOW_TOL)
+    _check_mapping(on_grid, *_on_grid(stack), "value in the relative anchor stack", WINDOW_TOL)
     return [unit / m for m in cfg.center_of_mass.masses], relative
 
 
@@ -854,7 +853,7 @@ def _collision_exact(
     # The mapped state's diagnostics under the grid H; this zero-step call
     # also checks dt against that H.
     check = evolve_exact(final, _collision_hamiltonian(cfg, mass), cfg.dt, 0)
-    _check_mapping(_on_grid(check), run.trajectory[-1][1].norm,
+    _check_mapping(_on_grid(check), run.final.norm,
                    run.energies[-1] + kinetic_big_r, run.couplings[-1],
                    "value in the stacked relative run", JACOBI_TOL)
     return final, run, kinetic_big_r

@@ -7,8 +7,8 @@ with the package under test.  The exceptions are the collision's oracles
 at the end: the grid runs use the package's propagator, on a different
 discretization (the heavy and light coordinates on their own grids) from
 the Jacobi-coordinate run the collision ships, and the per-term map-back
-reads the package's grids; the whole-array sums of <H> and <H_coupling>,
-which read the grid operator's arrays; and the test-side helpers at the very end
+reads the package's grids; the whole-array sums of <H>, <H_coupling> and
+the center-of-mass residual, which read the grid operator's arrays; and the test-side helpers at the very end
 (moments, purity, a swapped cut, a factor permutation), which only the
 tests use.
 """
@@ -178,6 +178,18 @@ def whole_array_elements(op, states) -> tuple[np.ndarray, np.ndarray]:
         n = math.prod(op.space.dims[axis] for axis in op.kinetic_axes)
         total += overlaps(spectra, [t * psi_k for psi_k in spectra]) / n
     return total * dv, coupling
+
+
+def whole_array_residual(psi1, mass: float, hbar: float = 1.0) -> float:
+    """||P^2/2M psi1|| from one full-size spectral P^2/2M psi1 and the sum
+    of its |.|^2, the form `dynamics.factorization_residual` had before it
+    summed T^2 |psi(k)|^2 axis by axis in blocks.  It reads the grid
+    operator's T, so it checks how the residual sums, not T itself."""
+    from framesim.dynamics import LABEL_CM, HamiltonianSpec, _GridHamiltonian
+
+    op = _GridHamiltonian(psi1.space, HamiltonianSpec(kinetic={LABEL_CM: mass}, hbar=hbar))
+    amps = op.spectral(op.kinetic(), psi1.amplitudes)
+    return float(math.sqrt(np.sum(np.abs(amps) ** 2) * psi1.space.volume_element))
 
 
 def free_gaussian_width(sigma: float, mass: float, hbar: float, t: float) -> float:

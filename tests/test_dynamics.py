@@ -10,9 +10,12 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framesim as fs
 from framesim.errors import SpaceMismatchError, ValidationError
@@ -32,6 +35,7 @@ from oracles import (
     free_gaussian_width,
     position_std,
     whole_array_elements,
+    whole_array_residual,
 )
 
 
@@ -241,9 +245,12 @@ def test_diagnostics_in_blocks_match_the_whole_sums(monkeypatch, name, chunk):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_one_block_is_the_whole_array_sum(monkeypatch, name):
-    """A state of at most DIAGNOSTIC_CHUNK amplitudes is one block, summed
-    bit for bit as oracles.whole_array_elements sums it, also at a block
-    size of exactly its own size; one amplitude less cuts it."""
+    """A state of at most DIAGNOSTIC_CHUNK amplitudes is one block of the
+    position-local sums, also at a block size of exactly its own size; one
+    amplitude less cuts it.  In one block the coupling matrix is bit for
+    bit oracles.whole_array_elements's, and so is the uncoupled one where T
+    has one axis; with more, T summed axis by axis is within 1e-15 relative
+    of the whole-array sum over all of them (measured <= 4.1e-16)."""
     psi, h = SYSTEMS[name](11)
     amps = [psi.amplitudes, *(random_state(psi.space, s).amplitudes for s in (14, 15))]
     op = fs.dynamics._GridHamiltonian(psi.space, h)
@@ -251,10 +258,82 @@ def test_one_block_is_the_whole_array_sum(monkeypatch, name):
     for chunk in (fs.dynamics.DIAGNOSTIC_CHUNK, psi.amplitudes.size):
         monkeypatch.setattr(fs.dynamics, "DIAGNOSTIC_CHUNK", chunk)
         assert len(op.blocks()[1]) == 1
-        assert np.array_equal(op.uncoupled_elements(amps), uncoupled)
-        assert np.array_equal(op.coupling_elements(amps), coupling)
+        got_uncoupled, got_coupling = op.elements(amps)
+        assert np.array_equal(got_coupling, coupling)
+        if len(h.kinetic) == 1:
+            assert np.array_equal(got_uncoupled, uncoupled)
+        else:
+            error = np.max(np.abs(got_uncoupled - uncoupled))
+            assert error <= 1e-15 * np.max(np.abs(uncoupled))
     monkeypatch.setattr(fs.dynamics, "DIAGNOSTIC_CHUNK", psi.amplitudes.size - 1)
     assert len(op.blocks()[1]) > 1
+
+
+@st.composite
+def blocked_systems(draw):
+    """A level factor and one or two coordinates of 8 points in a drawn
+    order, kinetic terms on a drawn subset of the coordinates (maybe none),
+    maybe a potential, an internal Hamiltonian and a coupling whose anchor
+    is the other coordinate or a frozen position; and a block size from 1
+    amplitude to the whole state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coordinates = draw(st.permutations(["x", "y"]))[:draw(st.integers(1, 2))]
+    order = list(coordinates)
+    order.insert(draw(st.integers(0, len(order))), "q")
+    d = draw(st.integers(2, 3))
+    space = Space(tuple(Factor.level("q", d) if label == "q"
+                        else Factor.coordinate(label, fs.Grid(8, -3.0, 3.0)) for label in order))
+    kinetic = draw(st.lists(st.sampled_from(coordinates), unique=True))
+    potentials = {}
+    if draw(st.booleans()):
+        potentials[draw(st.sampled_from(coordinates))] = rng.standard_normal(8)
+    interaction = None
+    if draw(st.booleans()):
+        interaction = fs.Interaction(
+            subject=coordinates[0], profile=fs.gaussian_profile(0.9, 1.1), level="q",
+            coupling=random_hermitian(rng, d),
+            anchor=coordinates[1] if len(coordinates) == 2 else None,
+            anchor_position=draw(st.floats(-3.0, 3.0)),
+        )
+    h = fs.HamiltonianSpec(
+        kinetic={label: float(rng.uniform(0.5, 5.0)) for label in kinetic},
+        potentials=potentials,
+        internal=("q", random_hermitian(rng, d)) if draw(st.booleans()) else None,
+        interaction=interaction,
+    )
+    psi = random_state(space, int(rng.integers(1000)))
+    return psi, h, draw(st.integers(1, psi.amplitudes.size))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(blocked_systems())
+def test_blocked_diagnostics_match_dense_oracle_property(system):
+    """Whatever the factor order, the kinetic axes, the level factor's place
+    and the block size, <H>, <H_coupling> and the L x L matrices meet the
+    dense oracle within 1e-10."""
+    psi, h, chunk = system
+    with mock.patch.object(fs.dynamics, "DIAGNOSTIC_CHUNK", chunk):
+        check_against_dense_oracle(psi, h)
+
+
+def test_residual_matches_the_whole_array_residual(monkeypatch):
+    """factorization_residual, summed axis by axis in blocks, is within
+    1e-13 relative of one full-size spectral P^2/2M psi
+    (oracles.whole_array_residual) at blocks of 8 and 64 amplitudes and at
+    the default, with the center-of-mass factor first, in the middle and
+    last, on states of 2^11 and 2^17 amplitudes."""
+    cm, q = Factor.coordinate("A_cm", fs.Grid(64, -2.0, 2.0)), Factor.level("q", 2)
+    layouts = [
+        (cm, q, Factor.coordinate("S", fs.Grid(1024, -8.0, 8.0))),
+        (Factor.coordinate("S", fs.Grid(16, -8.0, 8.0)), cm, q),
+        (q, Factor.coordinate("S", fs.Grid(8, -8.0, 8.0)), cm),
+    ]
+    for seed, factors in enumerate(layouts):
+        psi = random_state(Space(factors), 30 + seed)
+        want = whole_array_residual(psi, 70.0)
+        for chunk in (8, 64, fs.dynamics.DIAGNOSTIC_CHUNK):
+            monkeypatch.setattr(fs.dynamics, "DIAGNOSTIC_CHUNK", chunk)
+            assert fs.factorization_residual(psi, 70.0) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("cm_points", [16, 64])
@@ -291,13 +370,13 @@ def test_checkpoint_diagnostics_memory_is_bounded(cm_points):
 def test_checkpoint_diagnostics_are_taken_when_read(monkeypatch):
     psi, h = small_coupled_system(16)
     calls = []
-    original = fs.dynamics._GridHamiltonian.coupling_elements
+    original = fs.dynamics._GridHamiltonian.elements
 
     def count(self, states):
         calls.append(len(states))
         return original(self, states)
 
-    monkeypatch.setattr(fs.dynamics._GridHamiltonian, "coupling_elements", count)
+    monkeypatch.setattr(fs.dynamics._GridHamiltonian, "elements", count)
     res = fs.evolve_exact(psi, h, 1e-3, 300, 100)
     assert calls == []
     assert len(res.energies) == 4

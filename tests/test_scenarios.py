@@ -499,24 +499,26 @@ def test_collision_exact_memory_peak():
 
 def test_collision_residual_memory_peak():
     """tracemalloc's peak during the residual window stays at or below
-    12.5 MiB (measured: 11.9 MiB; 15.2 MiB while <T> of the grid-H check
-    held the mapped state's whole spectrum and T times it, and 21.4 MiB
-    while the stacked start, the anchor stack and its mapped copy were alive
-    together)."""
+    10.5 MiB (measured: 10.1 MiB; 12.1 MiB while factorization_residual
+    held a full-size spectral copy of the mapped state and its |.|^2, 15.2
+    MiB while <T> of the grid-H check held the mapped state's whole spectrum
+    and T times it, and 21.4 MiB while the stacked start, the anchor stack
+    and its mapped copy were alive together)."""
     cfg = ScenarioConfig.from_dict(fast_collision_dict())
     (psi_s,) = fs.scenarios._initial_packets(cfg)["S"]
     phi_int = fs.level_state("A_int", cfg.internal.state)
     peak = traced_peak(fs.scenarios._collision_residual, cfg, phi_int, psi_s)
-    assert peak <= 12.5 * 2**20
+    assert peak <= 10.5 * 2**20
 
 
 def test_run_collision_memory_peak():
     """tracemalloc's peak over the whole fast collision stays at or below
-    12.5 MiB (measured: 12.2 MiB; 15.2 MiB, the residual window's, while
+    12.0 MiB (measured: 11.5 MiB; 12.1 MiB, the residual window's, while
+    factorization_residual held a full-size spectral copy; 15.2 MiB while
     <T> summed whole states; 21.5 MiB before the residual and the map-back
     held one full-size array at a time)."""
     cfg = ScenarioConfig.from_dict(fast_collision_dict())
-    assert traced_peak(run_collision, cfg) <= 12.5 * 2**20
+    assert traced_peak(run_collision, cfg) <= 12.0 * 2**20
 
 
 def test_collision_requires_collision_config():
