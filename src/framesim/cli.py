@@ -341,6 +341,12 @@ def _check_probability_list(name: str, values: list) -> list[str]:
     return problems
 
 
+def _non_finite(name: str) -> float:
+    """json's parse_constant hook: NaN and +-Infinity pass every check below
+    (each comparison with them is false), so they make a report corrupt."""
+    raise ValueError(f"non-finite number {name}")
+
+
 def _verify_record(rec: dict) -> list[str]:
     problems = []
     kind = rec.get("record")
@@ -409,7 +415,8 @@ def cmd_verify(out_dir: str) -> int:
                 raise ValueError("manifest is not an object")
             payload = report_path.read_bytes()
             records = [
-                json.loads(line) for line in payload.decode("utf-8").splitlines() if line
+                json.loads(line, parse_constant=_non_finite)
+                for line in payload.decode("utf-8").splitlines() if line
             ]
         except (ValueError, OSError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
             failures.append(f"{label}: corrupt report or manifest ({exc})")

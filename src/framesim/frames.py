@@ -14,8 +14,9 @@ Density matrices are stored in the discrete convention: amplitudes carry a
 sqrt(dx) quadrature weight per coordinate factor, so the matrix trace is a
 plain sum, eigenvalues are mixing probabilities, and matrices built from
 Schmidt branches and from partial traces are directly comparable.  Each is
-kept as rho = V diag(w) V^H (Schmidt states and their weights, or a
-coefficient matrix with unit weights), so trace_distance needs no
+kept as one factor F with rho = F F^H (the Schmidt states scaled by the
+square roots of their weights, or a coefficient matrix), so its spectrum
+comes from the smaller of F^H F and F F^H, trace_distance needs no
 eigensolve of a full difference, and the matrix is formed only when read.
 """
 
@@ -52,20 +53,19 @@ HERMITICITY_ROWS = 64
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace matrix rho = V diag(w) V^H on a chosen set of
-    factors; the columns of V span its range."""
+    """Hermitian unit-trace matrix rho = F F^H on a chosen set of factors;
+    the columns of the factor F span its range."""
 
     labels: tuple[str, ...]
-    vectors: np.ndarray
-    weights: np.ndarray
+    factor: np.ndarray
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return (self.vectors * self.weights) @ self.vectors.conj().T
+        return self.factor @ self.factor.conj().T
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return self.factor.shape[0]
 
     @property
     def trace(self) -> float:
@@ -79,18 +79,18 @@ class DensityMatrix:
         return float(max(np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T))
                          for i in range(0, self.dim, rows)))
 
-    def eigenvalues(self, basis: np.ndarray | None = None) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in descending order.
 
-        `basis` may give orthonormal columns whose span holds the matrix's
-        range, such as the Schmidt states a mixture is built from: the
-        eigenvalues are then those of the small compression basis^H M basis,
-        padded with zeros.
+        The nonzero eigenvalues of F F^H are those of F^H F, so a factor
+        with fewer columns than rows is solved on its Gram side and padded
+        with zeros; a wide one never forms its Gram matrix.
         """
-        if basis is None:
+        n, r = self.factor.shape
+        if r >= n:
             return np.linalg.eigvalsh(self.matrix)[::-1]
-        small = np.linalg.eigvalsh(basis.conj().T @ self.matrix @ basis)
-        return np.sort(np.concatenate([small, np.zeros(self.dim - small.size)]))[::-1]
+        small = np.linalg.eigvalsh(self.factor.conj().T @ self.factor)
+        return np.sort(np.concatenate([small, np.zeros(n - r)]))[::-1]
 
 
 @dataclass(eq=False)
@@ -169,9 +169,10 @@ def transform_to_intrinsic(psi1: StateVector, cut: Bipartition) -> SchmidtResult
     return schmidt_decompose(psi1, cut)
 
 
-def schmidt_basis(result: SchmidtResult, keep: Sequence[str]) -> np.ndarray:
-    """The Schmidt states of the kept block as orthonormal columns, in the
-    discrete convention (amplitudes times sqrt of the volume element).
+def mixed_density_matrix(result: SchmidtResult, keep: Sequence[str]) -> DensityMatrix:
+    """rho = sum_j p_j |u_j><u_j| over the Schmidt states u_j of the kept
+    block: its factor has columns sqrt(p_j) u_j in the discrete convention
+    (amplitudes times sqrt of the volume element).
 
     keep must be exactly one block of the decomposition's cut.
     """
@@ -185,19 +186,10 @@ def schmidt_basis(result: SchmidtResult, keep: Sequence[str]) -> np.ndarray:
             f"keep {sorted(keep)} is not a block of the cut "
             f"{sorted(result.cut.left)} | {sorted(result.cut.right)}"
         )
+    space = states[0].space
     vectors = np.stack([u.amplitudes.ravel() for u in states], axis=1)
-    return vectors * math.sqrt(states[0].space.volume_element)
-
-
-def mixed_density_matrix(result: SchmidtResult, keep: Sequence[str]) -> DensityMatrix:
-    """rho = sum_j p_j |u_j><u_j| over the Schmidt states u_j of the kept block.
-
-    keep must be exactly one block of the decomposition's cut.
-    """
-    vectors = schmidt_basis(result, keep)
-    left = frozenset(keep) == result.cut.left
-    space = (result.left_states if left else result.right_states)[0].space
-    return DensityMatrix(space.labels, vectors, result.probabilities())
+    vectors = vectors * math.sqrt(space.volume_element)
+    return DensityMatrix(space.labels, vectors * np.sqrt(result.probabilities()))
 
 
 def reduced_density_matrix(psi: StateVector, keep: Sequence[str]) -> DensityMatrix:
@@ -205,19 +197,18 @@ def reduced_density_matrix(psi: StateVector, keep: Sequence[str]) -> DensityMatr
     keep = set(keep)
     kept = tuple(lab for lab in psi.space.labels if lab in keep)
     rest = tuple(lab for lab in psi.space.labels if lab not in keep)
-    matrix = coefficient_matrix(psi, Bipartition(keep, rest))
-    return DensityMatrix(kept, matrix, np.ones(matrix.shape[1]))
+    return DensityMatrix(kept, coefficient_matrix(psi, Bipartition(keep, rest)))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) sum |eigenvalues of (a - b)|.  With F = V sqrt(w), a - b is
-    M J M^H for M = [F_a F_b] = Q R and J = diag(+1, ..., -1, ...), so its
+    """(1/2) sum |eigenvalues of (a - b)|.  a - b is M J M^H for the stacked
+    factors M = [F_a F_b] = Q R and J = diag(+1, ..., -1, ...), so its
     nonzero eigenvalues are those of R J R^H, at most rank_a + rank_b wide."""
     if a.labels != b.labels or a.dim != b.dim:
         raise ValidationError(
             f"density matrices are not comparable: {a.labels}/{a.dim} "
             f"vs {b.labels}/{b.dim}"
         )
-    r = np.linalg.qr(np.hstack([m.vectors * np.sqrt(m.weights) for m in (a, b)]), mode="r")
-    signs = np.repeat([1.0, -1.0], [a.weights.size, b.weights.size])
+    r = np.linalg.qr(np.hstack([a.factor, b.factor]), mode="r")
+    signs = np.repeat([1.0, -1.0], [a.factor.shape[1], b.factor.shape[1]])
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh((r * signs) @ r.conj().T))))

@@ -65,7 +65,6 @@ from .frames import (
     lift_to_auxiliary,
     mixed_density_matrix,
     reduced_density_matrix,
-    schmidt_basis,
     trace_distance,
     transform_to_intrinsic,
 )
@@ -884,10 +883,6 @@ def _collision_point(
     rho_full = reduced_density_matrix(final, [LABEL_S])
     distance = trace_distance(rho_mixed, rho_full)
 
-    # rho_mixed lives on the span of the kept Schmidt states, so its spectrum
-    # is that of a rank x rank compression, padded with zeros.
-    eigs = rho_mixed.eigenvalues(schmidt_basis(branches, [LABEL_S]))
-
     return CollisionPoint(
         mass=mass,
         sigma_cm=_cm_setup(cfg, mass)[1].sigma,
@@ -899,7 +894,7 @@ def _collision_point(
         degenerate_groups=[list(g) for g in branches.degenerate_groups],
         schmidt_identity_distance=float(identity_distance),
         trace_distance=float(distance),
-        rho_eigenvalues=[float(v) for v in eigs],
+        rho_eigenvalues=[float(v) for v in rho_mixed.eigenvalues()],
         rho_trace=rho_mixed.trace,
         rho_hermiticity_error=rho_mixed.hermiticity_error,
         interaction_initial=float(worst_initial),
@@ -1114,11 +1109,12 @@ def _assemble(weights, compounds: StateVector, probes: StateVector) -> StateVect
 
 
 def _gram_diagnostics(
-    weights, compound_run, b_run, h_compound: HamiltonianSpec, h_b: HamiltonianSpec
+    weights, compound_run, b_states, h_compound: HamiltonianSpec, h_b: HamiltonianSpec
 ) -> list[tuple[float, float, float]]:
     """Norm, <H> and <H_coupling> of sum_l w_l C_l(t) (x) B_l(t) at every
-    checkpoint, from L x L matrix elements of the rows of the compound and
-    b stacks' checkpoints.
+    checkpoint, from L x L matrix elements of the rows of the compound
+    stack's checkpoints and of the b states.  b never couples, so its
+    overlaps and <T_b> are invariants of its free motion, taken once at t = 0.
 
     With H = H_c (x) 1 + 1 (x) T_b, overlaps G and matrix elements E of H_c
     and T_b, K those of the coupling, and * the entrywise product:
@@ -1128,10 +1124,10 @@ def _gram_diagnostics(
     def sandwich(matrix: np.ndarray) -> float:
         return float((weights.conj() @ matrix @ weights).real)
 
+    g_b, e_b, _ = matrix_elements(b_states, h_b)
     rows = []
-    for (_, compounds), (_, probes) in zip(compound_run.trajectory, b_run.trajectory):
+    for _, compounds in compound_run.trajectory:
         g_c, e_c, k_c = matrix_elements(_rows(compounds), h_compound)
-        g_b, e_b, _ = matrix_elements(_rows(probes), h_b)
         rows.append((math.sqrt(sandwich(g_c * g_b)), sandwich(e_c * g_b + g_c * e_b),
                      sandwich(k_c * g_b)))
     return rows
@@ -1167,11 +1163,12 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     run as one state stacked over an index k that no term acts on, and so
     do the L b packets: two propagations, each row bit-identical to a run
     of its own.  The norm, <H> and <H_coupling> at every checkpoint are
-    sums over L x L matrix elements of the two stacks' rows
-    (_gram_diagnostics).  Only the final sum is assembled; its own norm,
-    <H> and <H_coupling>, from the grid operator a full propagation would
-    use, must match the Gram values, and it is the state the report is
-    extracted from.
+    sums over L x L matrix elements of the compound stack's rows and of the
+    b states, whose free motion leaves theirs unchanged (_gram_diagnostics),
+    so the b run keeps only its final state.  Only the final sum is
+    assembled; its own norm, <H> and <H_coupling>, from the grid operator a
+    full propagation would use, must match the Gram values, and it is the
+    state the report is extracted from.
     """
     if cfg.scenario != "position_measurement":
         raise ValidationError(
@@ -1197,10 +1194,10 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     h_compound, h_b, h = _measurement_hamiltonians(cfg, mass)
     steps = _steps_for(cfg)
     compound_run = evolve_exact(compounds, h_compound, cfg.dt, steps, cfg.checkpoint_every)
-    b_run = evolve_exact(_stack(b_states), h_b, cfg.dt, steps, cfg.checkpoint_every)
+    b_run = evolve_exact(_stack(b_states), h_b, cfg.dt, steps, max(steps, 1))
 
     norms, energies, couplings = zip(
-        *_gram_diagnostics(weights, compound_run, b_run, h_compound, h_b)
+        *_gram_diagnostics(weights, compound_run, b_states, h_compound, h_b)
     )
     norm_drift = max(abs(n - 1.0) for n in norms)
     energy_drift = _energy_drift(energies)

@@ -283,7 +283,8 @@ def test_verify_rejects_edited_probability(measurement_config_file, tmp_path, ca
     ("missing field", "record 0: malformed (KeyError: 'outcome_counts')"),
     ("record not an object", "record 1: malformed (AttributeError:"),
     ("manifest not an object", "corrupt report or manifest (manifest is not an object)"),
-], ids=["missing-field", "record-not-object", "manifest-not-object"])
+    ("non-finite", "corrupt report or manifest (non-finite number NaN)"),
+], ids=["missing-field", "record-not-object", "manifest-not-object", "non-finite"])
 def test_verify_rejects_malformed_output(
     measurement_config_file, tmp_path, capsys, malformed, message
 ):
@@ -296,9 +297,16 @@ def test_verify_rejects_malformed_output(
     else:
         if malformed == "missing field":
             del records[0]["outcome_counts"]
+        elif malformed == "non-finite":
+            for key in ("outcome_probabilities", "empirical_frequencies"):
+                records[0][key] = [math.nan] * len(records[0][key])
         else:
             records[1] = [records[1]]
         report.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        if malformed == "non-finite":
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["report_digest"] = hashlib.sha256(report.read_bytes()).hexdigest()
+            (out / "manifest.json").write_text(json.dumps(manifest))
     assert cmd_verify(str(out)) == EXIT_VERIFY
     err = capsys.readouterr().err
     assert "Traceback" not in err

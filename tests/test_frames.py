@@ -288,10 +288,37 @@ def test_trace_distance_extremes():
 
 
 def density_from_factor(labels, factor: np.ndarray) -> fs.DensityMatrix:
-    """rho = V diag(w) V^H with random weights w, scaled to unit trace."""
+    """rho = V diag(w) V^H with random weights w, scaled to unit trace, as
+    the factor V sqrt(w)."""
     weights = np.random.default_rng(factor.shape[1]).uniform(0.5, 1.5, factor.shape[1])
     weights /= np.sum(weights * np.sum(np.abs(factor) ** 2, axis=0))
-    return fs.DensityMatrix(labels, factor, weights)
+    return fs.DensityMatrix(labels, factor * np.sqrt(weights))
+
+
+@pytest.mark.parametrize("shape, rank", [((512, 9), 9), ((64, 64), 64),
+                                         ((16, 300), 16), ((128, 40), 5)])
+def test_eigenvalues_match_dense_on_the_smaller_side(monkeypatch, shape, rank):
+    """Tall, square, wide and rank-deficient factors: the spectrum equals the
+    dense eigensolve of F F^H within 1e-14, and no matrix larger than
+    min(n, r) is solved."""
+    rng = np.random.default_rng(rank)
+    n, r = shape
+    factor = ((rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
+              @ (rng.standard_normal((rank, r)) + 1j * rng.standard_normal((rank, r))))
+    rho = density_from_factor(("S",), factor)
+    want = np.linalg.eigvalsh(rho.matrix)[::-1]
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(m):
+        solved.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = rho.eigenvalues()
+    assert solved == [(min(n, r),) * 2]
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.all(np.diff(got) <= 0.0)
 
 
 def collision_rho_mixed(monkeypatch) -> fs.DensityMatrix:
@@ -329,7 +356,7 @@ def test_hermiticity_error_by_row_blocks_is_exact(monkeypatch, case):
     assert (rho.hermiticity_error > 0.5) == (case != "collision")
 
 
-@pytest.mark.parametrize("ranks", [(1, 1), (2, 2), (2, 256)])
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 2), (2, 256), (300, 300)])
 def test_trace_distance_matches_dense_oracle(ranks):
     """The distance taken in the span of the two factors equals the dense
     eigensolve of the 512 x 512 difference within 1e-13; identical inputs

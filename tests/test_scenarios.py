@@ -116,13 +116,13 @@ def test_zero_coupling_contracts(zero_coupling_report):
 
 @pytest.fixture(scope="module")
 def fast_collision_run():
-    """The fast collision's report, and the (rho, basis) pairs whose
+    """The fast collision's report, and the density matrices whose
     eigenvalues it took."""
     spectra, eigenvalues = [], fs.DensityMatrix.eigenvalues
 
-    def recorded(rho, basis=None):
-        spectra.append((rho, basis))
-        return eigenvalues(rho, basis)
+    def recorded(rho):
+        spectra.append(rho)
+        return eigenvalues(rho)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fs.DensityMatrix, "eigenvalues", recorded)
@@ -137,11 +137,11 @@ def fast_collision_report(fast_collision_run):
 
 def test_rho_eigenvalues_from_the_compression_match_dense(fast_collision_run):
     report, spectra = fast_collision_run
-    ((rho, basis),) = spectra
-    assert basis.shape == (rho.dim, 2)
-    compressed = rho.eigenvalues(basis)
-    assert report.points[0].rho_eigenvalues == compressed.tolist()
-    assert np.max(np.abs(compressed - rho.eigenvalues())) <= 1e-14
+    (rho,) = spectra
+    assert rho.factor.shape == (rho.dim, 2)
+    eigs = rho.eigenvalues()
+    assert report.points[0].rho_eigenvalues == eigs.tolist()
+    assert np.max(np.abs(eigs - np.linalg.eigvalsh(rho.matrix)[::-1])) <= 1e-14
 
 
 def test_collision_point_invariants(fast_collision_report):
@@ -847,7 +847,8 @@ def assembled(weights, compound_run, b_run, k: int) -> StateVector:
 
 def test_gram_diagnostics_match_assembled_state(monkeypatch):
     """At every checkpoint, the norm, <H> and <H_coupling> taken from the
-    L x L matrix elements equal those of the assembled 4-factor state."""
+    L x L matrix elements equal those of the assembled 4-factor state, with
+    the b stack evolved to each checkpoint here."""
     seen = []
     original = fs.scenarios._gram_diagnostics
 
@@ -858,9 +859,12 @@ def test_gram_diagnostics_match_assembled_state(monkeypatch):
     monkeypatch.setattr("framesim.scenarios._gram_diagnostics", record)
     cfg = ScenarioConfig.from_dict(oracle_measurement_dict())
     run_position_measurement(cfg)
-    ((weights, compound_run, b_run, _, _), rows), = seen
-    h = fs.scenarios._measurement_hamiltonians(cfg, cfg.center_of_mass.masses[0])[2]
-    assert len(rows) == len(b_run.trajectory) == len(compound_run.trajectory) > 2
+    ((weights, compound_run, b_states, _, _), rows), = seen
+    _, h_b, h = fs.scenarios._measurement_hamiltonians(cfg, cfg.center_of_mass.masses[0])
+    b_run = fs.evolve_exact(fs.scenarios._stack(b_states), h_b, cfg.dt,
+                            fs.scenarios._steps_for(cfg), cfg.checkpoint_every)
+    assert [t for t, _ in b_run.trajectory] == [t for t, _ in compound_run.trajectory]
+    assert len(rows) == len(b_run.trajectory) > 2
     for k, (norm, energy, coupling) in enumerate(rows):
         psi = assembled(weights, compound_run, b_run, k)
         assert norm == pytest.approx(psi.norm, rel=0.0, abs=1e-12)
