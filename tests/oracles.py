@@ -9,7 +9,8 @@ discretization (the heavy and light coordinates on their own grids) from
 the Jacobi-coordinate run the collision ships, and the per-term map-back
 reads the package's grids; the whole-array sums of <H>, <H_coupling> and
 the center-of-mass residual, which read the grid operator's arrays; and the test-side helpers at the very end
-(moments, purity, a swapped cut, a factor permutation), which only the
+(moments, dense density matrices and their purity, a swapped cut, a
+factor permutation), which only the
 tests use.
 """
 
@@ -339,9 +340,14 @@ def swapped(cut):
     return Bipartition(cut.right, cut.left)
 
 
+def dense(rho) -> np.ndarray:
+    """The n x n matrix F F^H of a DensityMatrix."""
+    return rho.factor @ rho.factor.conj().T
+
+
 def purity(rho) -> float:
     """tr rho^2 of a DensityMatrix."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    return float(np.trace(dense(rho) @ dense(rho)).real)
 
 
 def expect_position(state, label: str) -> float:

@@ -16,9 +16,10 @@ from framesim.hilbert import (
     tensor_product,
 )
 
-from conftest import INTERNAL_H, fast_collision_dict
+from conftest import INTERNAL_H
 from oracles import (
     brute_reduced_density,
+    dense,
     dense_trace_distance,
     expect_momentum,
     expect_position,
@@ -207,7 +208,7 @@ def test_mixed_density_matches_naive_sum():
         rho_ref += p * np.outer(u[:, j], u[:, j].conj())
     result = fs.transform_to_intrinsic(psi, fs.Bipartition(["L"], ["R"]))
     rho = fs.mixed_density_matrix(result, ["L"])
-    assert np.max(np.abs(rho.matrix - rho_ref)) <= 1e-12
+    assert np.max(np.abs(dense(rho) - rho_ref)) <= 1e-12
 
 
 def test_mixed_density_rejects_keep_outside_cut():
@@ -230,14 +231,14 @@ def test_reduced_density_of_product_is_projector():
     v = level_state("R", [1.0, 1.0j])
     rho = fs.reduced_density_matrix(tensor_product([u, v]), ["L"])
     vec = u.amplitudes
-    assert np.max(np.abs(rho.matrix - np.outer(vec, vec.conj()))) <= 1e-12
+    assert np.max(np.abs(dense(rho) - np.outer(vec, vec.conj()))) <= 1e-12
 
 
 def test_reduced_density_of_bell_is_maximally_mixed():
     space = Space((Factor.level("L", 2), Factor.level("R", 2)))
     bell = StateVector(space, np.eye(2) / math.sqrt(2))
     rho = fs.reduced_density_matrix(bell, ["L"])
-    assert np.max(np.abs(rho.matrix - np.eye(2) / 2)) <= 1e-12
+    assert np.max(np.abs(dense(rho) - np.eye(2) / 2)) <= 1e-12
 
 
 @pytest.mark.parametrize("keep", [["x"], ["q"], ["x", "q"]])
@@ -249,9 +250,8 @@ def test_reduced_density_matches_brute_force(keep):
     psi = random_state(space, 55)
     rho = fs.reduced_density_matrix(psi, keep)
     ref = brute_reduced_density(psi, keep)
-    assert np.max(np.abs(rho.matrix - ref)) <= 1e-12
+    assert np.max(np.abs(dense(rho) - ref)) <= 1e-12
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
-    assert rho.hermiticity_error <= 1e-10
     assert rho.eigenvalues().min() >= -1e-10
 
 
@@ -306,7 +306,7 @@ def test_eigenvalues_match_dense_on_the_smaller_side(monkeypatch, shape, rank):
     factor = ((rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))
               @ (rng.standard_normal((rank, r)) + 1j * rng.standard_normal((rank, r))))
     rho = density_from_factor(("S",), factor)
-    want = np.linalg.eigvalsh(rho.matrix)[::-1]
+    want = np.linalg.eigvalsh(dense(rho))[::-1]
     solved, eigvalsh = [], np.linalg.eigvalsh
 
     def spy(m):
@@ -321,41 +321,6 @@ def test_eigenvalues_match_dense_on_the_smaller_side(monkeypatch, shape, rank):
     assert np.all(np.diff(got) <= 0.0)
 
 
-def collision_rho_mixed(monkeypatch) -> fs.DensityMatrix:
-    """The collision's rho_mixed on the fast config (the shipped grids: 512 x
-    512), as `_collision_point` builds it."""
-    from framesim.scenarios import ScenarioConfig, run_collision
-
-    built, mixed = [], fs.scenarios.mixed_density_matrix
-
-    def spy(*args):
-        built.append(mixed(*args))
-        return built[-1]
-
-    monkeypatch.setattr("framesim.scenarios.mixed_density_matrix", spy)
-    run_collision(ScenarioConfig.from_dict(fast_collision_dict()))
-    (rho,) = built
-    return rho
-
-
-@pytest.mark.parametrize("case", ["random-64", "random-199", "random-512", "collision"])
-def test_hermiticity_error_by_row_blocks_is_exact(monkeypatch, case):
-    """The row-block maximum equals max |M - M^H| of the whole matrix bit
-    for bit: on non-Hermitian random matrices of one block, of a size that
-    is no multiple of the block, and of the collision's size, and on the
-    collision's rho_mixed."""
-    if case == "collision":
-        rho = collision_rho_mixed(monkeypatch)
-    else:
-        n = int(case.split("-")[1])
-        rng = np.random.default_rng(n)
-        rho = density_from_factor(("S",), np.ones((n, 1)))
-        rho.matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = rho.matrix
-    assert rho.hermiticity_error == float(np.max(np.abs(m - m.conj().T)))
-    assert (rho.hermiticity_error > 0.5) == (case != "collision")
-
-
 @pytest.mark.parametrize("ranks", [(1, 1), (2, 2), (2, 256), (300, 300)])
 def test_trace_distance_matches_dense_oracle(ranks):
     """The distance taken in the span of the two factors equals the dense
@@ -364,7 +329,7 @@ def test_trace_distance_matches_dense_oracle(ranks):
     rng = np.random.default_rng(sum(ranks))
     a, b = (density_from_factor(("S",), rng.standard_normal((512, r))
                                 + 1j * rng.standard_normal((512, r))) for r in ranks)
-    want = dense_trace_distance(a.matrix, b.matrix)
+    want = dense_trace_distance(dense(a), dense(b))
     assert abs(fs.trace_distance(a, b) - want) <= 1e-13
     assert abs(fs.trace_distance(b, a) - want) <= 1e-13
     for rho in (a, b):
