@@ -221,11 +221,17 @@ class GaussianParams:
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
         """(pi sigma^2)^(-1/4) exp(i p0 x / hbar) exp(-(x-r0)^2 / 2 sigma^2)
-        at any positions x, grid points or not."""
-        return (np.pi * self.sigma**2) ** -0.25 * np.exp(
-            1j * self.p0 * x / self.hbar
-            - (x - self.r0) ** 2 / (2.0 * self.sigma**2)
-        )
+        at any positions x, grid points or not, filled into one complex
+        array: its exponent, then exp and the norm in place."""
+        out = np.empty(np.shape(x), dtype=np.complex128)
+        out.real = (x - self.r0) ** 2
+        out.real /= -2.0 * self.sigma**2
+        out.imag = self.p0 * x
+        # Times 1 / hbar: numpy's complex division by a real hbar rounds so.
+        out.imag *= 1.0 / self.hbar
+        np.exp(out, out=out)
+        out *= (np.pi * self.sigma**2) ** -0.25
+        return out
 
 
 def make_gaussian(grid: Grid, params: GaussianParams, label: str) -> StateVector:

@@ -502,11 +502,12 @@ def _residual_window(cfg: ScenarioConfig) -> StateVector:
     return StateVector(Space((Factor.coordinate(LABEL_CM, grid),)), amps)
 
 
-def _check_three_periods(cfg, result) -> tuple[float, float]:
-    """Largest |coupling expectation| over initial-period and final-period checkpoints."""
+def _check_three_periods(cfg, times: list[float], couplings: list[float]) -> tuple[float, float]:
+    """Largest |coupling expectation| over initial-period and final-period
+    checkpoints, from each checkpoint's time and <H_coupling>."""
     s = cfg.schedule
     worst_initial = worst_final = 0.0
-    for (t, _), coupling in zip(result.trajectory, result.couplings):
+    for t, coupling in zip(times, couplings):
         if t <= s.t_initial + 1e-12:
             worst_initial = max(worst_initial, abs(coupling))
         if t >= s.t_interaction - 1e-12:
@@ -654,7 +655,8 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float
     centre), so psi_s (x) phi_int runs as the stack's last row and is copied
     out at t_final.  No term depends on the mass, so the run is made once
     per sweep; each mass enters only through P^2 / 2 mass on the anchor
-    states, shifted in place to r = x - X_j.
+    states, shifted in place to r = x - X_j.  The stacked start is freed
+    once the run returns, before the mapped anchor states are built.
 
     The mapped state's norm, <H> and <H_coupling> under the grid H must
     match the anchor stack's under H_rel, which are those of the run's rows,
@@ -687,6 +689,7 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float
     final = evolve_exact(stacked, h_rel, cfg.dt, steps, max(steps, 1)).final.amplitudes
     # A copy, so that the stack's final is freed before the grid-H check.
     relative = StateVector(Space(stacked.space.factors[1:]), final[-1].copy())
+    del stacked  # the start is not alive through the map
     final = final[:-1]
     # The anchor stack's norm, <H_rel> and <H_coupling> are the rows'.
     in_rows = _on_grid(evolve_exact(
@@ -694,7 +697,7 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float
         h_rel, cfg.dt, 0))
     space = Space((*window.space.factors, *relative.space.factors))
     mapped = ((q / sqrt_dx) @ final.reshape(len(final), -1)).reshape(space.dims)
-    del stacked, final
+    del final
     mapped = StateVector(space, _shift_to_x(mapped, anchors, grid_x))
 
     # The check's grid H takes g at the nearest periodic image of x - X_j,
@@ -712,10 +715,14 @@ def _collision_residual(cfg: ScenarioConfig, phi_int, psi_s) -> tuple[list[float
 
 def _shift_to_x(amps: np.ndarray, anchors: np.ndarray, grid: Grid) -> np.ndarray:
     """Shift the (anchors, levels, r) rows of amps in place from r to
-    x = X_j + r, by one FFT pair on grid's periodic window."""
-    np.fft.fft(amps, axis=-1, out=amps)
-    amps *= np.exp(-1j * np.outer(anchors, grid.wavenumbers()))[:, None, :]
-    return np.fft.ifft(amps, axis=-1, out=amps)
+    x = X_j + r, by one FFT pair on grid's periodic window, one anchor's
+    row at a time, so that no temporary is larger than a row."""
+    k = grid.wavenumbers()
+    for row, x in zip(amps, anchors):
+        np.fft.fft(row, axis=-1, out=row)
+        row *= np.exp(-1j * (x * k))
+        np.fft.ifft(row, axis=-1, out=row)
+    return amps
 
 
 def _relative_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> HamiltonianSpec:
@@ -759,9 +766,14 @@ def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> Sch
     big_r = grid_big_r.positions()[:, None]
     r = grid_x.positions()[None, :]
     psi_s = cfg.particle.packet.params(cfg.particle.mass, cfg.hbar, cfg.mass_unit)
-    samples = cm_params.amplitudes(big_r - w * r) * psi_s.amplitudes(big_r + (1.0 - w) * r)
     factors = (Factor.coordinate(LABEL_R, grid_big_r), Factor.coordinate(LABEL_S, grid_x))
-    plane = StateVector(Space(factors), samples).normalized()
+    space = Space(factors)
+    # Multiplied and normalized in place, before the read-only StateVector
+    # wraps it; the norm is StateVector.norm's sum.
+    samples = cm_params.amplitudes(big_r - w * r)
+    samples *= psi_s.amplitudes(big_r + (1.0 - w) * r)
+    samples /= math.sqrt(np.vdot(samples, samples).real * space.volume_element)
+    plane = StateVector(space, samples)
     # H_coupling acts on r alone, so psi0's <H_coupling> is that of its
     # r-marginal amplitude sqrt(sum_R |plane|^2 dR) (x) phi_int.
     marginal = np.sqrt(np.sum(np.abs(plane.amplitudes) ** 2, axis=0) * grid_big_r.dx)
@@ -780,10 +792,12 @@ def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> Sch
 
 def _collision_exact(
     cfg: ScenarioConfig, mass: float, split: SchmidtResult
-) -> tuple[StateVector, PropagationResult, float]:
+) -> tuple[StateVector, list[float], list[float], list[float], float]:
     """The exact state at one mass, mapped to the (A_cm, A_int, S) grid at
-    t_final; the stacked relative run its diagnostics come from; and the
-    constant <T_R> that completes that run's <H_rel> to <H>.
+    t_final, and the diagnostics of the stacked relative run it comes from:
+    its checkpoint times, <H> (its <H_rel> plus the constant <T_R>) and
+    <H_coupling> at each, and its norm drift.  They are read before the
+    map-back, and only the run's final rows are kept through it.
 
     In Jacobi coordinates H = T_R + H_rel, and T_R commutes with every other
     term, so a Strang step is exp(-i T_R dt / hbar) times the Strang step of
@@ -798,8 +812,8 @@ def _collision_exact(
     At t_final the terms are summed once per level in R's Fourier series,
     with the free phase, at R = X_j + w r (x = X_j + r) by (X, kappa) by
     (kappa, r) products, MAP_COLUMNS r columns at a time; _shift_to_x moves
-    each row by X_j from r to x, and what lies beyond the periodic particle
-    window is folded back into it.  The mapped state's own norm, <H> and
+    each anchor's row by X_j from r to x, one row at a time, and what lies
+    beyond the periodic particle window is folded back into it.  The mapped state's own norm, <H> and
     <H_coupling> under the grid H must match the stacked run's.
     """
     grid_r = _wide_grid(cfg)
@@ -816,24 +830,29 @@ def _collision_exact(
     h_big_r = HamiltonianSpec(kinetic={LABEL_R: mass + cfg.particle.mass}, hbar=cfg.hbar)
     _, t_big_r, _ = matrix_elements(split.left_states, h_big_r)
     kinetic_big_r = float(weights**2 @ t_big_r.diagonal().real)
+    times = [t for t, _ in run.trajectory]
+    energies = [e + kinetic_big_r for e in run.energies]
+    couplings, norm_drift, rows = run.couplings, run.norm_drift, run.final
+    # The checkpoint states, the start among them, are not alive through
+    # the map-back.
+    del run, stacked
 
     grid_cm, _ = _cm_setup(cfg, mass)
     grid_big_r = split.left_states[0].space.factors[0].grid
     w = cfg.particle.mass / (mass + cfg.particle.mass)
     kappa = grid_big_r.wavenumbers()
-    t_final = run.trajectory[-1][0]
-    free = np.exp(-1j * cfg.hbar * kappa**2 * t_final / (2.0 * (mass + cfg.particle.mass)))
+    free = np.exp(-1j * cfg.hbar * kappa**2 * times[-1] / (2.0 * (mass + cfg.particle.mass)))
     spectra = np.fft.fft([f.amplitudes for f in split.left_states], axis=1)
     spectra *= free / grid_big_r.n_points
     # R - R_min = (X_j - X_min) + (X_min - R_min) + w r.
     from_cm = np.exp(1j * np.outer(grid_cm.positions() - grid_cm.x_min, kappa))
     offsets = grid_cm.x_min - grid_big_r.x_min + w * grid_r.positions()
-    wide = np.empty((grid_cm.n_points, *run.final.space.dims[1:]), dtype=np.complex128)
+    wide = np.empty((grid_cm.n_points, *rows.space.dims[1:]), dtype=np.complex128)
     for start in range(0, grid_r.n_points, MAP_COLUMNS):
         cols = slice(start, start + MAP_COLUMNS)
         from_r = np.exp(1j * np.outer(kappa, offsets[cols]))
         for lvl in range(wide.shape[1]):
-            terms = spectra.T @ run.final.amplitudes[:, lvl, cols]
+            terms = spectra.T @ rows.amplitudes[:, lvl, cols]
             terms *= from_r
             wide[:, lvl, cols] = from_cm @ terms
     _shift_to_x(wide, grid_cm.positions(), grid_r)
@@ -849,10 +868,9 @@ def _collision_exact(
     # The mapped state's diagnostics under the grid H; this zero-step call
     # also checks dt against that H.
     check = evolve_exact(final, _collision_hamiltonian(cfg, mass), cfg.dt, 0)
-    _check_mapping(_on_grid(check), run.final.norm,
-                   run.energies[-1] + kinetic_big_r, run.couplings[-1],
+    _check_mapping(_on_grid(check), rows.norm, energies[-1], couplings[-1],
                    "value in the stacked relative run", JACOBI_TOL)
-    return final, run, kinetic_big_r
+    return final, times, energies, couplings, norm_drift
 
 
 def _collision_point(
@@ -862,10 +880,9 @@ def _collision_point(
     """One mass of the sweep from its start's Jacobi split; `relative` is
     the sweep's factorized relative state at t_final, which does not depend
     on the mass."""
-    final, run, kinetic_big_r = _collision_exact(cfg, mass, split)
-    worst_initial, worst_final = _check_three_periods(cfg, run)
-    energy_drift = _energy_drift([e + kinetic_big_r for e in run.energies])
-    norm_drift = run.norm_drift
+    final, times, energies, couplings, norm_drift = _collision_exact(cfg, mass, split)
+    worst_initial, worst_final = _check_three_periods(cfg, times, couplings)
+    energy_drift = _energy_drift(energies)
 
     phi_free = _free_packet(cfg, mass)
     deficit = fidelity_deficit(final, tensor_product([phi_free, relative]))
@@ -877,7 +894,11 @@ def _collision_point(
     rho_mixed = mixed_density_matrix(branches, [LABEL_S])
     rho_psi1 = reduced_density_matrix(extraction.state, [LABEL_S])
     identity_distance = trace_distance(rho_mixed, rho_psi1)
-    rho_full = reduced_density_matrix(final, [LABEL_S])
+    # The usual reduced density matrix, from the certified Schmidt factor
+    # of the final state across (A_cm, A_int) | S, rank columns wide; with
+    # S last, its coefficient matrix is a reshape, not a transposed copy.
+    rho_full = mixed_density_matrix(
+        schmidt_decompose(final, Bipartition([LABEL_CM, LABEL_INT], [LABEL_S])), [LABEL_S])
     distance = trace_distance(rho_mixed, rho_full)
 
     return CollisionPoint(
@@ -1196,6 +1217,9 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
     norms, energies, couplings = zip(
         *_gram_diagnostics(weights, compound_run, b_states, h_compound, h_b)
     )
+    # Only the compounds' final is read from here on.
+    compounds = compound_run.final
+    del compound_run
     norm_drift = max(abs(n - 1.0) for n in norms)
     energy_drift = _energy_drift(energies)
     # The coupling to the absorbed compound stays on; the contract concerns
@@ -1206,7 +1230,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
 
     # The final state is assembled once; a zero-step propagation under the
     # full H checks the Gram identities on the state the report comes from.
-    check = evolve_exact(_assemble(weights, compound_run.final, b_run.final), h, cfg.dt, 0)
+    check = evolve_exact(_assemble(weights, compounds, b_run.final), h, cfg.dt, 0)
     _check_mapping(_on_grid(check), norms[-1], energies[-1], couplings[-1], "Gram value",
                    GRAM_TOL)
 
@@ -1230,7 +1254,7 @@ def run_position_measurement(cfg: ScenarioConfig) -> MeasurementReport:
         branch_deficits.append(1.0 - fids[outcome])
 
     # Independently evolved absorbed compounds, for the orthogonality report.
-    absorbed = [extract_relative_state(c, phi_free).state for c in _rows(compound_run.final)]
+    absorbed = [extract_relative_state(c, phi_free).state for c in _rows(compounds)]
     compound_overlap = abs(inner_product(absorbed[0], absorbed[1]))
 
     counts = [0] * len(coeffs)

@@ -204,9 +204,10 @@ def binomial_3sigma(p: float, n: int) -> float:
 
 def grid_collision_exact(cfg, mass: float, split):
     """The collision's exact run at one mass on the (A_cm, A_int, S) grid,
-    in the form of `scenarios._collision_exact`: the final state, the run
-    whose checkpoints give the diagnostics, and the energy its <H> lacks
-    (none: the whole H propagates).  The Jacobi split is not used.
+    in the form of `scenarios._collision_exact`: the final state, and the
+    run's checkpoint times, <H> and <H_coupling> at each, and norm drift
+    (the whole H propagates, so <H> lacks nothing).  The Jacobi split is
+    not used.
 
     The product of the heavy packet, the level state and the particle packet
     is lifted to the auxiliary frame and propagated as one array under the
@@ -223,7 +224,8 @@ def grid_collision_exact(cfg, mass: float, split):
     psi0 = lift_to_auxiliary(phi_int, psi_s, cm_params, grid_cm)
     run = evolve_exact(psi0, scenarios._collision_hamiltonian(cfg, mass), cfg.dt,
                        scenarios._steps_for(cfg), cfg.checkpoint_every)
-    return run.final, run, 0.0
+    times = [t for t, _ in run.trajectory]
+    return run.final, times, run.energies, run.couplings, run.norm_drift
 
 
 def grid_collision_residual(cfg, phi_int, psi_s):

@@ -53,6 +53,23 @@ def test_gaussian_centers_match_requested():
     assert abs(expect_momentum(psi, "S") - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("r0, p0, sigma, hbar", [
+    (0.0, 0.0, 1.0, 1.0), (2.5, -3.0, 0.4, 1.0), (-1.0, 1.7, 2.0, 0.7), (1.0, -3.0, 0.8, 1.47),
+    (0.5, -0.0, 0.9, 2.7),
+])
+def test_gaussian_samples_are_bit_equal_to_the_one_expression_form(r0, p0, sigma, hbar):
+    """The in-place fill of GaussianParams.amplitudes rounds as the whole
+    complex expression (pi sigma^2)^(-1/4) exp(i p0 x / hbar - (x - r0)^2
+    / 2 sigma^2) does, sign of zero included, on a 2-D array of positions."""
+    params = fs.GaussianParams(r0=r0, p0=p0, sigma=sigma, mass=1.0, hbar=hbar)
+    x = np.linspace(-12.0, 12.0, 257)[:, None] + np.array([0.0, 0.125, -3.3])
+    want = (np.pi * sigma**2) ** -0.25 * np.exp(
+        1j * p0 * x / hbar - (x - r0) ** 2 / (2.0 * sigma**2))
+    got = params.amplitudes(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_velocity_dispersion_formula():
     p = fs.GaussianParams(r0=0.0, p0=0.0, sigma=0.5, mass=10.0, hbar=1.0)
     assert p.xi == pytest.approx(0.2, abs=1e-15)

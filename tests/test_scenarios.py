@@ -30,6 +30,7 @@ from conftest import fast_collision_dict, fast_measurement_dict
 from oracles import (
     binomial_3sigma,
     dense,
+    dense_trace_distance,
     grid_collision_exact,
     grid_collision_residual,
     jacobi_map_back,
@@ -307,13 +308,56 @@ def test_jacobi_split_is_the_split_of_the_full_start(monkeypatch, collision_conf
 
 
 @pytest.fixture(scope="module")
-def jacobi_and_grid_records():
-    """Records of the fast collision over three masses, from the shipped
-    Jacobi and plane-wave runs and with the grid oracles in their place."""
+def three_mass_collision():
+    """The fast collision over masses 1e2, 1e3 and 1e4: its config, its
+    records, and per mass the final state with its Schmidt split across
+    (A_cm, A_int) | S, and the two density matrices of trace_distance."""
     raw = fast_collision_dict()
     raw["center_of_mass"]["masses"] = [100.0, 1000.0, 10000.0]
     cfg = ScenarioConfig.from_dict(raw)
-    jacobi = run_collision(cfg).to_records()
+    splits, pairs = [], []
+    decompose, distance = fs.scenarios.schmidt_decompose, fs.scenarios.trace_distance
+
+    def split_spy(psi, cut, *args):
+        result = decompose(psi, cut, *args)
+        if cut == fs.Bipartition(["A_cm", "A_int"], ["S"]):
+            splits.append((psi, result))
+        return result
+
+    def distance_spy(a, b):
+        pairs.append((a, b))
+        return distance(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("framesim.scenarios.schmidt_decompose", split_spy)
+        mp.setattr("framesim.scenarios.trace_distance", distance_spy)
+        records = run_collision(cfg).to_records()
+    # Each mass takes schmidt_identity_distance first, then trace_distance.
+    return cfg, records, splits, pairs[1::2]
+
+
+def test_rho_full_from_the_split_matches_the_dense_partial_trace(three_mass_collision):
+    """trace_distance, with rho_full the certified Schmidt factor of the
+    final state across (A_cm, A_int) | S, equals the distance to the dense
+    partial trace within 1e-12 absolute at every mass (measured: 2.8e-14
+    to 3.3e-14, at ranks 13, 9 and 8), and the factor leaves out at most
+    1e-20 of the weight (measured: 1.9e-25 to 4.5e-25)."""
+    _, records, splits, pairs = three_mass_collision
+    points = [r for r in records if r["record"] == "collision_point"]
+    assert len(points) == len(splits) == len(pairs) == 3
+    for point, (final, split), (rho_mixed, rho_full) in zip(points, splits, pairs):
+        assert split.truncation_residual <= 1e-20
+        assert rho_full.factor.shape == (512, split.rank)
+        rho_dense = dense(fs.reduced_density_matrix(final, ["S"]))
+        want = dense_trace_distance(dense(rho_mixed), rho_dense)
+        assert abs(point["trace_distance"] - want) <= 1e-12, point["mass"]
+
+
+@pytest.fixture(scope="module")
+def jacobi_and_grid_records(three_mass_collision):
+    """Records of the fast collision over three masses, from the shipped
+    Jacobi and plane-wave runs and with the grid oracles in their place."""
+    cfg, jacobi, _, _ = three_mass_collision
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("framesim.scenarios._collision_exact", grid_collision_exact)
         mp.setattr("framesim.scenarios._collision_residual", grid_collision_residual)
@@ -477,13 +521,49 @@ def test_jacobi_map_back_matches_the_per_term_oracle(mass, p0):
     the sum of its Schmidt terms mapped one at a time within 1e-12 relative
     in norm (measured: 2.1e-15 to 1.5e-14).  With p0 = 24 the packet runs
     round the particle window's seam (30% of the final weight lies in its
-    first 16 points), so the fold is checked too."""
+    first 16 points), so the fold is checked too.  The oracle maps the
+    stacked run that _collision_exact made, which it does not return."""
     cfg, split = fast_split(mass, p0)
-    final, run, _ = fs.scenarios._collision_exact(cfg, mass, split)
+    runs, original = [], fs.dynamics.evolve_exact
+
+    def spy(psi0, h, dt, steps, checkpoint_every=100):
+        result = original(psi0, h, dt, steps, checkpoint_every)
+        if psi0.space.has("k"):
+            runs.append(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("framesim.scenarios.evolve_exact", spy)
+        final, times, *_ = fs.scenarios._collision_exact(cfg, mass, split)
+    (run,) = runs
+    assert times == [t for t, _ in run.trajectory]
     want = jacobi_map_back(cfg, mass, split, run)
     assert final.space.labels == want.space.labels and final.space.dims == want.space.dims
     gap = np.linalg.norm(final.amplitudes - want.amplitudes)
     assert gap <= 1e-12 * np.linalg.norm(want.amplitudes)
+
+
+@pytest.mark.parametrize("where", ["residual", "map-back"])
+def test_shift_to_x_by_rows_equals_the_outer_product_form(where):
+    """Shifting one anchor's row at a time is bit-equal to applying the
+    whole anchors x points phase table at once, on the residual window's
+    (anchors, levels, r) shape and on the map-back's wider one."""
+    cfg = ScenarioConfig.from_dict(fast_collision_dict())
+    if where == "residual":
+        anchors = fs.scenarios._residual_window(cfg).space.factors[0].grid.positions()
+        grid = cfg.particle.grid.to_grid()
+    else:
+        anchors = fs.scenarios._cm_setup(cfg, 100.0)[0].positions()
+        grid = fs.scenarios._wide_grid(cfg)
+    rng = np.random.default_rng(5)
+    shape = (len(anchors), 2, grid.n_points)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.fft.ifft(np.fft.fft(amps, axis=-1)
+                       * np.exp(-1j * np.outer(anchors, grid.wavenumbers()))[:, None, :],
+                       axis=-1)
+    got = amps.copy()
+    assert fs.scenarios._shift_to_x(got, anchors, grid) is got
+    assert np.array_equal(got, want)
 
 
 def traced_peak(fn, *args) -> int:
@@ -496,18 +576,32 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def test_jacobi_split_memory_peak():
+    """tracemalloc's peak during one mass's Jacobi split stays at or below
+    6.25 MiB (measured: 6.01 MiB; 7.80 MiB while the Gaussian samples were
+    built from whole-array temporaries and the start plane was normalized
+    into a copy)."""
+    cfg = ScenarioConfig.from_dict(fast_collision_dict())
+    phi_int = fs.level_state("A_int", cfg.internal.state)
+    assert traced_peak(fs.scenarios._jacobi_split, cfg, 100.0, phi_int) <= 6.25 * 2**20
+
+
 def test_collision_exact_memory_peak():
     """tracemalloc's peak during one mass's exact run stays at or below
-    12.0 MiB (measured: 11.3 MiB; 18.3 MiB with the map-back's (kappa, r)
-    factors over the whole r grid, and 22.7 MiB with the per-term
-    map-back before that)."""
+    8.5 MiB (measured: 8.21 MiB; 11.26 MiB while the stacked run's
+    checkpoint states stayed alive through the map-back and the shift to x
+    built anchors x points phase tables, 18.3 MiB with the map-back's
+    (kappa, r) factors over the whole r grid, and 22.7 MiB with the
+    per-term map-back before that)."""
     cfg, split = fast_split(100.0)
-    assert traced_peak(fs.scenarios._collision_exact, cfg, 100.0, split) <= 12.0 * 2**20
+    assert traced_peak(fs.scenarios._collision_exact, cfg, 100.0, split) <= 8.5 * 2**20
 
 
 def test_collision_residual_memory_peak():
     """tracemalloc's peak during the residual window stays at or below
-    9.0 MiB (measured: 8.7 MiB; 10.1 MiB while the anchor stack was summed a
+    9.0 MiB (measured: 8.66 MiB, set by the grid-H check of the mapped
+    state, so freeing the start stack before the map left it as it was;
+    10.1 MiB while the anchor stack was summed a
     second time for its own check; 12.1 MiB while factorization_residual
     held a full-size spectral copy of the mapped state and its |.|^2, 15.2
     MiB while <T> of the grid-H check held the mapped state's whole spectrum
@@ -522,12 +616,14 @@ def test_collision_residual_memory_peak():
 
 def test_run_collision_memory_peak():
     """tracemalloc's peak over the whole fast collision stays at or below
-    12.0 MiB (measured: 11.5 MiB; 12.1 MiB, the residual window's, while
-    factorization_residual held a full-size spectral copy; 15.2 MiB while
-    <T> summed whole states; 21.5 MiB before the residual and the map-back
-    held one full-size array at a time)."""
+    9.0 MiB (measured: 8.69 MiB, the residual window's; 11.48 MiB, a mass
+    point's, while the Jacobi run's checkpoints outlived the map-back and
+    the shift to x built anchors x points phase tables; 12.1 MiB, the
+    residual window's, while factorization_residual held a full-size
+    spectral copy; 15.2 MiB while <T> summed whole states; 21.5 MiB before
+    the residual and the map-back held one full-size array at a time)."""
     cfg = ScenarioConfig.from_dict(fast_collision_dict())
-    assert traced_peak(run_collision, cfg) <= 12.0 * 2**20
+    assert traced_peak(run_collision, cfg) <= 9.0 * 2**20
 
 
 def test_collision_requires_collision_config():
@@ -666,11 +762,12 @@ def test_measurement_absorption_and_partition(fast_measurement_report):
 
 def test_measurement_memory_peak():
     """tracemalloc's peak over the fast measurement stays at or below
-    14.0 MiB (measured: 13.6 MiB; 27.7 MiB while <H> and <H_coupling> of
-    the assembled state summed it whole and the state stayed alive through
-    the sampling)."""
+    10.85 MiB (measured: 10.44 MiB; 11.72 MiB while the compound run's
+    checkpoints stayed alive through the assembly, 13.6 MiB when a 14.0
+    MiB bound was set; 27.7 MiB while <H> and <H_coupling> of the assembled state summed it
+    whole and the state stayed alive through the sampling)."""
     cfg = ScenarioConfig.from_dict(fast_measurement_dict())
-    assert traced_peak(run_position_measurement, cfg) <= 14.0 * 2**20
+    assert traced_peak(run_position_measurement, cfg) <= 10.85 * 2**20
 
 
 def test_measurement_releases_the_assembled_state(monkeypatch):
