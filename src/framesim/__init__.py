@@ -18,6 +18,7 @@ from .hilbert import (
     tensor_product,
 )
 from .dynamics import (
+    Checkpoints,
     HamiltonianSpec,
     Interaction,
     PropagationResult,

@@ -20,7 +20,9 @@ half-potential of the next are merged into one full-step factor (Feit,
 Fleck & Steiger, J. Comput. Phys. 47 (1982) 412), so `steps` steps apply
 W/2 T W T ... W T and one position-local factor per step.  Each stored
 state gets its own closing W/2: it is a whole Strang step, and the running
-product does not depend on where the checkpoints fall.  <H> and
+product does not depend on where the checkpoints fall.  A run can hand its
+checkpoints to a callback as they are closed (Checkpoints) instead of
+storing them.  <H> and
 <H_coupling> of the stored checkpoints are the 1 x 1 case of the
 operator's one matrix-element pass, taken together when first read; the
 same pass gives the L x L matrices <psi_l|H|psi_m> of a list of states.  It
@@ -31,20 +33,29 @@ one kinetic axis at a time, from 1-D FFTs along that axis alone: by
 Parseval the other axes need no transform.  The center-of-mass residual
 ||P^2/2M psi||^2 is the same per-axis sum with the multiplier T^2.
 
-A step runs level row by level row between two preallocated buffers that
-hold the state level factor first, so each level slab is contiguous (psi0
-is copied into that order once; each checkpoint is closed straight into its
-own array in the caller's order).  The kinetic factor is diagonal in the
-level index, so row i of a step is row i of the position-local factor (d
-multiply-adds on level slabs) followed by the kinetic phase between
-in-place FFTs of that one slab, and it writes only slab i.  When a level
-slab holds at least THREADED_SLAB amplitudes the rows are shared among the
-calling thread and min(level dimension, usable CPUs) - 1 helper threads of
-a pool that lives for one call, with one join per step; smaller states, and
-states without a level factor, run every row on the calling thread.  Each
+A step runs level row by level row between two buffers that hold the
+state level factor first, so each level slab is contiguous.  psi0 is copied
+into that order once, and when that copies, the copy is one of the two
+buffers; each checkpoint is closed straight into its own array in the
+caller's order, allocated as it is closed, and the final one after the
+spare buffer is freed.  The kinetic factor is diagonal in the level index,
+so row i of a step is row i of the position-local factor (d multiply-adds
+on level slabs) followed by the kinetic phase between in-place FFTs of that
+one slab.  The stacked factor is the first non-level axis when no kinetic
+term acts on it: the index k of a stack of states, or an anchor coordinate
+that nothing moves.  Its rows never mix, so a state is cut into contiguous
+blocks of them, and every operand that varies along it (the position-local
+factors, and the kinetic phase when each row has its own mass) is cut with
+it.  When the blocks hold THREADED_SLAB amplitudes or more, the calling
+thread and up to min(rows, usable CPUs) - 1 helper threads of a pool that
+lives for one call each carry one block from one checkpoint to the next,
+so the threads join only at checkpoints; smaller states, and states
+without a stacked factor, run as one block on the calling thread.  Each
 amplitude goes through the same numpy calls in the same order either way
 (the 1-D transforms last axis first, as fftn does), so the result is
 bit-identical whatever the number of threads or the caller's factor order.
+A kinetic mass is one number, or one per index of the stacked factor
+LABEL_K, so that stacked rows can be systems of different masses.
 
 The heavy subsystem machinery lives here as well.  evolve_factorized
 returns the final relative state of the product approximation: the
@@ -76,10 +87,11 @@ from .errors import ValidationError
 from .hilbert import Factor, Space, StateVector, inner_product
 
 HERMITICITY_TOL = 1e-12
-# The heavy system's center-of-mass factor.
+# The heavy system's center-of-mass factor, and the index of stacked states.
 LABEL_CM = "A_cm"
-# Amplitudes per level slab from which the rows of a step run on threads.
-THREADED_SLAB = 1 << 15
+LABEL_K = "k"
+# Amplitudes per block of the stacked factor from which blocks run on threads.
+THREADED_SLAB = 1 << 14
 # Positions per eigh block when the Strang factors are built.
 FACTOR_CHUNK = 1 << 13
 # Amplitudes per block when <H> and <H_coupling> are summed.
@@ -112,12 +124,14 @@ class Interaction:
 class HamiltonianSpec:
     """Kinetic terms, local potentials, internal level Hamiltonian, coupling.
 
-    kinetic maps coordinate labels to masses; potentials maps coordinate
-    labels to either a callable sampled on the grid or a pre-sampled array;
-    internal is an optional (level label, Hermitian matrix) pair.
+    kinetic maps coordinate labels to masses, each one number or a 1-D array
+    with one mass per index of the stacked factor LABEL_K; potentials maps
+    coordinate labels to either a callable sampled on the grid or a
+    pre-sampled array; internal is an optional (level label, Hermitian
+    matrix) pair.
     """
 
-    kinetic: Mapping[str, float]
+    kinetic: Mapping[str, float | np.ndarray]
     potentials: Mapping[str, Callable[[np.ndarray], np.ndarray] | np.ndarray] = field(
         default_factory=dict
     )
@@ -153,6 +167,22 @@ def _along(space: Space, label: str, values: np.ndarray) -> np.ndarray:
     return values.reshape(shape)
 
 
+def _kinetic_mass(space: Space, label: str, mass):
+    """A kinetic mass as given, or one mass per index of the stacked factor
+    LABEL_K, shaped to broadcast along it."""
+    masses = np.asarray(mass, dtype=float)
+    if masses.ndim:
+        rows = space.factor(LABEL_K).dim if space.has(LABEL_K) else None
+        if masses.shape != (rows,):
+            raise ValidationError(
+                f"kinetic masses for {label!r} must be one per index of {LABEL_K!r} "
+                f"({rows} in {space.labels}), got shape {masses.shape}"
+            )
+    if not np.all(np.isfinite(masses) & (masses > 0.0)):
+        raise ValidationError(f"kinetic mass for {label!r} must be positive and finite")
+    return _along(space, LABEL_K, masses) if masses.ndim else mass
+
+
 def _coordinate(space: Space, label: str, what: str) -> Factor:
     f = space.factor(label)
     if not f.is_coordinate:
@@ -179,10 +209,9 @@ class _GridHamiltonian:
         self.kinetic_terms = {}
         for label, mass in h.kinetic.items():
             grid = _coordinate(space, label, "kinetic term").grid
-            if mass <= 0.0:
-                raise ValidationError(f"kinetic mass for {label!r} must be positive")
             k = _along(space, label, grid.wavenumbers())
-            self.kinetic_terms[space.axis(label)] = (h.hbar * k) ** 2 / (2.0 * mass)
+            self.kinetic_terms[space.axis(label)] = (
+                (h.hbar * k) ** 2 / (2.0 * _kinetic_mass(space, label, mass)))
 
         self.potential = np.zeros((1,) * len(space.dims))
         for label, spec in h.potentials.items():
@@ -351,13 +380,14 @@ class _GridHamiltonian:
         cut, blocks = self.blocks()
         potential = self.potential.any()
         for rows in blocks:
-            chunk = [_cut_rows(psi, cut, rows) for psi in states]
+            index = (slice(None),) * cut + (rows,)
+            chunk = [_block_of(psi, index) for psi in states]
             if self.profile is not None:
-                profile = _cut_rows(self.profile, cut, rows)
+                profile = _block_of(self.profile, index)
                 kets = (self.levels(self.coupling, psi) for psi in chunk)
                 coupling += _overlaps(chunk, [np.multiply(k, profile, out=k) for k in kets])
             if potential:
-                v = _cut_rows(self.potential, cut, rows)
+                v = _block_of(self.potential, index)
                 uncoupled += _overlaps(chunk, [v * psi for psi in chunk])
             if self.internal is not None:
                 uncoupled += _overlaps(chunk, [self.levels(self.internal, psi) for psi in chunk])
@@ -366,13 +396,16 @@ class _GridHamiltonian:
         dv = self.space.volume_element
         return uncoupled * dv, coupling * dv
 
+    def expectations(self, amps: np.ndarray) -> tuple[float, float]:
+        """<H> and <H_coupling> of one state, from one `elements` pass."""
+        uncoupled, coupling = (float(m[0, 0].real) for m in self.elements([amps]))
+        return uncoupled + coupling, coupling
 
-def _cut_rows(values: np.ndarray, axis: int, rows: slice) -> np.ndarray:
-    """Rows of an array along one axis; an array that only broadcasts along
-    it (length 1) whole."""
-    if values.shape[axis] == 1:
-        return values
-    return values[(slice(None),) * axis + (rows,)]
+
+def _block_of(values: np.ndarray, index: tuple) -> np.ndarray:
+    """values[index], with every axis of length 1 (one that only
+    broadcasts) taken whole."""
+    return values[tuple(i if n > 1 else slice(None) for i, n in zip(index, values.shape))]
 
 
 def _overlaps(bras: list[np.ndarray], kets: list[np.ndarray]) -> np.ndarray:
@@ -386,8 +419,16 @@ def _spectral_sum(states: list[np.ndarray], axis: int, multiplier: np.ndarray) -
     Parseval this is <psi_l| m(k) |psi_m> summed over the other indices,
     which need no transform.  Each state, viewed as (before, N, after), is
     cut into blocks of at most DIAGNOSTIC_CHUNK amplitudes: whole (N, after)
-    slabs grouped while they fit, otherwise columns of one slab."""
+    slabs grouped while they fit, otherwise columns of one slab.  A
+    multiplier that also varies along another axis (a mass per row of a
+    stack) is summed one index of that axis at a time."""
     dims = states[0].shape
+    other = [a for a, n in enumerate(multiplier.shape) if n > 1 and a != axis]
+    if other:
+        head = (slice(None),) * other[0]
+        return sum(_spectral_sum([psi[head + (j,)] for psi in states],
+                                 axis - (other[0] < axis), multiplier[head + (j,)])
+                   for j in range(dims[other[0]]))
     n, after = dims[axis], math.prod(dims[axis + 1:])
     shape = (math.prod(dims[:axis]), n, after)
     slabs = max(1, DIAGNOSTIC_CHUNK // (n * after))
@@ -422,12 +463,7 @@ class PropagationResult:
     @cached_property
     def _diagnostics(self) -> list[tuple[float, float]]:
         """(<H>, <H_coupling>) of each checkpoint, from one pass each."""
-        pairs = []
-        for _, s in self.trajectory:
-            uncoupled, coupling = (float(m[0, 0].real)
-                                   for m in self.operator.elements([s.amplitudes]))
-            pairs.append((uncoupled + coupling, coupling))
-        return pairs
+        return [self.operator.expectations(s.amplitudes) for _, s in self.trajectory]
 
     @property
     def energies(self) -> list[float]:
@@ -438,12 +474,52 @@ class PropagationResult:
         return [coupling for _, coupling in self._diagnostics]
 
 
+@dataclass(frozen=True)
+class Checkpoints:
+    """A checkpoint stride whose states go to `receive(t, state)`, on the
+    calling thread, as each is closed (t = 0 and the final state included),
+    instead of being stored.  evolve_exact takes it in place of
+    `checkpoint_every`, so a call keeps the (psi0, h, dt, steps,
+    checkpoint_every) form that wrappers of evolve_exact forward."""
+
+    every: int
+    receive: Callable[[float, StateVector], None]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; all of them where the platform has
+    no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stacked_blocks(stepper: _GridHamiltonian) -> list[tuple]:
+    """Index tuples of the blocks a run's workers carry, one per worker.
+
+    The stacked factor is the stepper's first non-level axis when no kinetic
+    term acts on it.  Its rows never mix, so each worker takes a contiguous
+    block of them: as many workers as there are rows and usable CPUs, while
+    each block holds THREADED_SLAB amplitudes or more.  Without a stacked
+    factor the whole state is one block.
+    """
+    dims = stepper.space.dims
+    axis = 0 if stepper.level_axis is None else 1
+    if axis == len(dims) or axis in stepper.kinetic_axes:
+        return [(Ellipsis,)]
+    workers = min(dims[axis], max(1, math.prod(dims) // THREADED_SLAB))
+    if workers > 1:
+        workers = min(workers, _usable_cpus())
+    bounds = [dims[axis] * w // workers for w in range(workers + 1)]
+    return [(slice(None),) * axis + (slice(a, b),) for a, b in zip(bounds, bounds[1:])]
+
+
 def evolve_exact(
     psi0: StateVector,
     h: HamiltonianSpec,
     dt: float,
     steps: int,
-    checkpoint_every: int = 100,
+    checkpoint_every: int | Checkpoints = 100,
 ) -> PropagationResult:
     """Split-step propagation of psi0 under h for `steps` steps of size dt.
 
@@ -452,15 +528,21 @@ def evolve_exact(
     half-potential.  Norm drift is the largest deviation of any
     checkpoint norm from 1.  <H> and <H_coupling> of each checkpoint are
     taken from the H that propagates, in the caller's order, when first read.
+    With a Checkpoints in place of the stride, each checkpoint goes to its
+    callback instead, and `trajectory` keeps only psi0 and the final state.
     """
+    stream = checkpoint_every if isinstance(checkpoint_every, Checkpoints) else None
+    every = stream.every if stream else checkpoint_every
     if steps < 0:
         raise ValidationError("steps must be >= 0")
-    if checkpoint_every < 1:
+    if every < 1:
         raise ValidationError("checkpoint_every must be >= 1")
     op = _GridHamiltonian(psi0.space, h)
     op.check_time_step(dt)
     trajectory: list[tuple[float, StateVector]] = [(0.0, psi0)]
     norm_drift = abs(psi0.norm - 1.0)
+    if stream:
+        stream.receive(0.0, psi0)
     # A zero-step call only takes the diagnostics, so it builds no factors
     # and allocates no buffers.
     if steps:
@@ -468,56 +550,73 @@ def evolve_exact(
         order = sorted(range(len(factors)), key=lambda axis: axis != op.level_axis)
         stepper = _GridHamiltonian(Space(tuple(factors[axis] for axis in order)), h)
         phase, half, full = stepper.propagators(dt)
-        dims = stepper.space.dims
-        rows = 1 if stepper.level_axis is None else dims[0]
-        workers = 1
-        if psi0.amplitudes.size // rows >= THREADED_SLAB:
-            # The CPUs this process may run on; all of them where the
-            # platform has no affinity call.
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            workers = min(rows, cpus)
-        # Worker w takes every workers-th level row from row w, with one slab
-        # of scratch; the calling thread is worker 0, helper threads the rest.
-        scratch = [None] * workers
-        if rows > 1:
-            scratch = [np.empty(dims[1:], dtype=np.complex128) for _ in range(workers)]
+        start = np.ascontiguousarray(psi0.amplitudes.transpose(order))
+        rows = 1 if stepper.level_axis is None else start.shape[0]
+        blocks = _stacked_blocks(stepper)
+        # The transposed copy of the start, when there is one, is the first
+        # of the two step buffers; step n writes buffers[n % 2].
+        fresh = np.may_share_memory(start, psi0.amplitudes)
+        buffers = [np.empty_like(start) if fresh else start, np.empty_like(start)]
+        # A level factor's position-local factors lead with its matrix axes.
+        lead = (slice(None),) * (stepper.level_axis is not None)
+
+        def rows_into(factor, kinetic, src, dst, scratch) -> None:
+            """Every level row of one block of a step, or of a closing W/2
+            (no kinetic phase), from src into dst."""
+            for i in range(rows):
+                stepper.step_row(factor, kinetic, src, dst, i, scratch)
+
+        def advance(index, first: int, stop: int, src: np.ndarray) -> None:
+            """Steps first to stop of one block, with each operand that
+            varies along the stacked axis cut to it.  The first step opens
+            with W/2; every later one with W, its own W/2 merged with the
+            closing W/2 of the step before."""
+            opening, merged = (_block_of(f, lead + index) for f in (half, full))
+            kinetic = None if phase is None else _block_of(phase, index)
+            scratch = np.empty_like(src[index][0]) if rows > 1 else None
+            for n in range(first, stop + 1):
+                rows_into(opening if n == 1 else merged, kinetic, src[index],
+                          buffers[n % 2][index], scratch)
+                src = buffers[n % 2]
+
+        def close(index, src: np.ndarray, dst: np.ndarray) -> None:
+            """The closing W/2 of one block, from src into dst."""
+            rows_into(_block_of(half, lead + index), None, src[index], dst[index],
+                      np.empty_like(src[index][0]) if rows > 1 else None)
+
         helpers = None
-        if workers > 1:
+        if len(blocks) > 1:
             from concurrent.futures import ThreadPoolExecutor
-            helpers = ThreadPoolExecutor(workers - 1)
+            helpers = ThreadPoolExecutor(len(blocks) - 1)
 
-        def apply(factor, kinetic, src: np.ndarray, dst: np.ndarray) -> None:
-            """Every level row of one step, or of a closing W/2, into dst."""
-            def rows_of(w: int) -> None:
-                for i in range(w, rows, workers):
-                    stepper.step_row(factor, kinetic, src, dst, i, scratch[w])
-
-            shares = [helpers.submit(rows_of, w) for w in range(1, workers)]
+        def each_block(task, *args) -> None:
+            """task for every block: the calling thread takes the first."""
+            shares = [helpers.submit(task, index, *args) for index in blocks[1:]]
             try:
-                rows_of(0)
+                task(blocks[0], *args)
             finally:
                 for share in shares:
                     share.result()
 
         try:
-            amps = np.ascontiguousarray(psi0.amplitudes.transpose(order))
-            # Step n reads amps and writes buffers[n % 2]; the other is then free.
-            buffers = [np.empty_like(amps), np.empty_like(amps)]
-            # The first step opens with W/2; every later one opens with W, its
-            # own W/2 merged with the closing W/2 of the step before.
-            opening = half
-            for n in range(1, steps + 1):
-                apply(opening, phase, amps, buffers[n % 2])
-                amps, opening = buffers[n % 2], full
-                if n % checkpoint_every == 0 or n == steps:
-                    # The stored state is closed straight into its own array,
-                    # in the caller's factor order.
-                    stored = np.empty(psi0.space.dims, dtype=np.complex128)
-                    apply(half, None, amps, stored.transpose(order))
-                    state = StateVector(psi0.space, stored)
-                    trajectory.append((n * dt, state))
-                    norm_drift = max(norm_drift, abs(state.norm - 1.0))
+            done, src = 0, start
+            del start
+            while done < steps:
+                stop = min((done // every + 1) * every, steps)
+                each_block(advance, done + 1, stop, src)
+                done, src = stop, buffers[stop % 2]
+                if done == steps:
+                    buffers[(done + 1) % 2] = None  # not alive beside the final state
+                # The state is closed straight into its own array, in the
+                # caller's factor order.
+                stored = np.empty(psi0.space.dims, dtype=np.complex128)
+                each_block(close, src, stored.transpose(order))
+                state = StateVector(psi0.space, stored)
+                norm_drift = max(norm_drift, abs(state.norm - 1.0))
+                if stream:
+                    stream.receive(done * dt, state)
+                if stream is None or done == steps:
+                    trajectory.append((done * dt, state))
         finally:
             if helpers is not None:
                 helpers.shutdown()
@@ -575,16 +674,19 @@ def matrix_elements(
     return _overlaps(amps, amps) * op.space.volume_element, uncoupled + coupling, coupling
 
 
+def expectations(state: StateVector, h: HamiltonianSpec) -> tuple[float, float]:
+    """<H> and <H_coupling> of one state, from one matrix-element pass."""
+    return _GridHamiltonian(state.space, h).expectations(state.amplitudes)
+
+
 def total_energy(state: StateVector, h: HamiltonianSpec) -> float:
     """<H> of one state."""
-    uncoupled, coupling = _GridHamiltonian(state.space, h).elements([state.amplitudes])
-    return float((uncoupled + coupling)[0, 0].real)
+    return expectations(state, h)[0]
 
 
 def interaction_energy(state: StateVector, h: HamiltonianSpec) -> float:
     """Expectation of the coupling term alone."""
-    _, coupling = _GridHamiltonian(state.space, h).elements([state.amplitudes])
-    return float(coupling[0, 0].real)
+    return expectations(state, h)[1]
 
 
 def gaussian_profile(strength: float, width: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -16,8 +16,10 @@ approximation then improves as 1/mass along a sweep.
 The collision's heavy subsystem is propagated in its intrinsic frame, the
 center-of-mass frame.  In Jacobi coordinates its free motion separates from
 the relative motion that the coupling acts on, so each mass's exact run is
-one small stacked relative run from its start's split (_jacobi_split),
-mapped to the heavy and light grids only at t_final (_collision_exact).
+a few stacked relative rows from its start's split (_jacobi_split), mapped
+to the heavy and light grids only at t_final (_collision_exact).  The rows
+of every mass run as one stack, each under its own mass's H_rel
+(_jacobi_runs).
 The residual window is a relative run too: its anchors share one H_rel, so
 the particle packet's plane waves run once as one stacked state, in an
 orthonormal basis of the anchors' phases, and are mapped to each anchor at
@@ -45,13 +47,16 @@ from typing import Any, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .dynamics import (
+    Checkpoints,
     HamiltonianSpec,
     Interaction,
     LABEL_CM,
+    LABEL_K,
     PropagationResult,
     check_time_step,
     evolve_exact,
     evolve_factorized,  # unused here; perfbench/spans.py wraps it by this name
+    expectations,
     factorization_residual,
     fidelity_deficit,
     gaussian_profile,
@@ -95,9 +100,8 @@ LABEL_INT = "A_int"
 LABEL_S = "S"
 LABEL_A = "a"
 LABEL_B = "b"
-# The Jacobi center of mass, and the index of the stacked relative states.
+# The Jacobi center of mass.
 LABEL_R = "R"
-LABEL_K = "k"
 
 INTERACTION_TOL = 1e-8
 SEPARATION_TOL = 1e-6
@@ -725,10 +729,12 @@ def _shift_to_x(amps: np.ndarray, anchors: np.ndarray, grid: Grid) -> np.ndarray
     return amps
 
 
-def _relative_hamiltonian(cfg: ScenarioConfig, mass: float | None) -> HamiltonianSpec:
+def _relative_hamiltonian(cfg: ScenarioConfig,
+                          mass: float | np.ndarray | None) -> HamiltonianSpec:
     """H_rel = p_r^2 / 2 mu + g(r) K + H_int on the relative coordinate r,
     which the particle's label carries; the coupling's anchor is 0.  With no
-    mass the anchor is infinitely heavy, and mu is the particle's mass."""
+    mass the anchor is infinitely heavy, and mu is the particle's mass; with
+    one mass per row of a stack, mu is one per row."""
     h, m = _collision_hamiltonian(cfg, None), cfg.particle.mass
     mu = m if mass is None else m * mass / (m + mass)
     return replace(h, kinetic={LABEL_S: mu}, interaction=h.interaction.frozen_at(0.0))
@@ -790,52 +796,89 @@ def _jacobi_split(cfg: ScenarioConfig, mass: float, phi_int: StateVector) -> Sch
                    cut=Bipartition([LABEL_R], [LABEL_INT, LABEL_S]))
 
 
+def _jacobi_runs(
+    cfg: ScenarioConfig, masses, splits: list[SchmidtResult]
+) -> list[tuple[StateVector, list[float], list[float], list[float], float]]:
+    """Every mass's Schmidt terms as one stacked relative run.  Per mass, its
+    rows of the final state and their diagnostics: the checkpoint times,
+    <H_rel> and <H_coupling> at each, and the norm drift.
+
+    Each mass's G_k (_jacobi_split), padded with zeros to the wider r grid,
+    run under H_rel with that mass's reduced mass.  Rows never mix, so the
+    terms of every mass run as one (sum of K_M, A_int, r) stack whose kinetic
+    mass is mu_M on each of mass M's rows, bit for bit as each mass's own
+    stack would.  Each checkpoint's diagnostics are taken from each mass's
+    own contiguous rows, under its own H_rel, as the checkpoint is closed,
+    so none is stored.
+    """
+    grid_r = _wide_grid(cfg)
+    pad = grid_r.n_points // 4
+    level, _ = splits[0].right_states[0].space.factors
+    ranks = [split.rank for split in splits]
+    stacked = StateVector(
+        Space((Factor.level(LABEL_K, sum(ranks)), level, Factor.coordinate(LABEL_S, grid_r))),
+        np.pad([c * g.amplitudes for split in splits
+                for c, g in zip(split.coefficients, split.right_states)],
+               ((0, 0), (0, 0), (pad, pad))),
+    )
+    bounds = np.cumsum([0, *ranks]).tolist()
+    parts = [(slice(lo, hi), Space((Factor.level(LABEL_K, hi - lo), *stacked.space.factors[1:])),
+              _relative_hamiltonian(cfg, mass))
+             for lo, hi, mass in zip(bounds, bounds[1:], masses)]
+    times, seen = [], [[] for _ in parts]
+
+    def take(t: float, state: StateVector) -> None:
+        times.append(t)
+        for (rows, space, h), values in zip(parts, seen):
+            part = StateVector(space, state.amplitudes[rows])
+            values.append((part.norm, *expectations(part, h)))
+
+    h = _relative_hamiltonian(cfg, np.repeat(masses, ranks))
+    final = evolve_exact(stacked, h, cfg.dt, _steps_for(cfg),
+                         Checkpoints(cfg.checkpoint_every, take)).final.amplitudes
+    runs = []
+    for (rows, space, _), values in zip(parts, seen):
+        norms, energies, couplings = (list(column) for column in zip(*values))
+        runs.append((StateVector(space, final[rows]), times, energies, couplings,
+                     max(abs(norm - 1.0) for norm in norms)))
+    return runs
+
+
 def _collision_exact(
-    cfg: ScenarioConfig, mass: float, split: SchmidtResult
+    cfg: ScenarioConfig, mass: float, split: SchmidtResult,
+    run: tuple[StateVector, list[float], list[float], list[float], float],
 ) -> tuple[StateVector, list[float], list[float], list[float], float]:
     """The exact state at one mass, mapped to the (A_cm, A_int, S) grid at
-    t_final, and the diagnostics of the stacked relative run it comes from:
-    its checkpoint times, <H> (its <H_rel> plus the constant <T_R>) and
-    <H_coupling> at each, and its norm drift.  They are read before the
-    map-back, and only the run's final rows are kept through it.
+    t_final, with the diagnostics of `run`, that mass's part of the stacked
+    relative run (_jacobi_runs): its checkpoint times, <H> (its <H_rel> plus
+    the constant <T_R>) and <H_coupling> at each, and its norm drift.
 
     In Jacobi coordinates H = T_R + H_rel, and T_R commutes with every other
     term, so a Strang step is exp(-i T_R dt / hbar) times the Strang step of
     H_rel.  `split` is the initial state's split across R | (A_int, r)
-    (_jacobi_split) into orthonormal F_k(R) and weighted G_k; the G_k,
-    padded with zeros to the wider r grid, run as one stacked (k, A_int, r)
-    state under H_rel, and each F_k takes the free phase of the whole run
-    at once.  The F_k stay orthonormal and the G_k orthogonal, so the norm,
-    <H_rel> and <H_coupling> of the stacked state are those of the whole,
-    and <T_R> = sum_k s_k^2 <F_k|T_R|F_k> is constant.
+    (_jacobi_split) into orthonormal F_k(R) and weighted G_k; the G_k ran
+    under H_rel, and each F_k takes the free phase of the whole run at once.
+    The F_k stay orthonormal and the G_k orthogonal, so the norm, <H_rel>
+    and <H_coupling> of the rows are those of the whole, and
+    <T_R> = sum_k s_k^2 <F_k|T_R|F_k> is constant.
 
     At t_final the terms are summed once per level in R's Fourier series,
     with the free phase, at R = X_j + w r (x = X_j + r) by (X, kappa) by
     (kappa, r) products, MAP_COLUMNS r columns at a time; _shift_to_x moves
     each anchor's row by X_j from r to x, one row at a time, and what lies
-    beyond the periodic particle window is folded back into it.  The mapped state's own norm, <H> and
-    <H_coupling> under the grid H must match the stacked run's.
+    beyond the periodic particle window is folded back into it.  The mapped
+    state's own norm, <H> and <H_coupling> under the grid H must match the
+    rows'.
     """
-    grid_r = _wide_grid(cfg)
+    rows, times, energies, couplings, norm_drift = run
     weights = split.coefficients
-    pad = grid_r.n_points // 4
-    level, particle = split.right_states[0].space.factors
-    stacked = StateVector(
-        Space((Factor.level(LABEL_K, split.rank), level, Factor.coordinate(LABEL_S, grid_r))),
-        np.pad([c * g.amplitudes for c, g in zip(weights, split.right_states)],
-               ((0, 0), (0, 0), (pad, pad))),
-    )
-    run = evolve_exact(stacked, _relative_hamiltonian(cfg, mass), cfg.dt, _steps_for(cfg),
-                       cfg.checkpoint_every)
     h_big_r = HamiltonianSpec(kinetic={LABEL_R: mass + cfg.particle.mass}, hbar=cfg.hbar)
     _, t_big_r, _ = matrix_elements(split.left_states, h_big_r)
     kinetic_big_r = float(weights**2 @ t_big_r.diagonal().real)
-    times = [t for t, _ in run.trajectory]
-    energies = [e + kinetic_big_r for e in run.energies]
-    couplings, norm_drift, rows = run.couplings, run.norm_drift, run.final
-    # The checkpoint states, the start among them, are not alive through
-    # the map-back.
-    del run, stacked
+    energies = [e + kinetic_big_r for e in energies]
+    grid_r = _wide_grid(cfg)
+    pad = grid_r.n_points // 4
+    level, particle = split.right_states[0].space.factors
 
     grid_cm, _ = _cm_setup(cfg, mass)
     grid_big_r = split.left_states[0].space.factors[0].grid
@@ -855,6 +898,7 @@ def _collision_exact(
             terms = spectra.T @ rows.amplitudes[:, lvl, cols]
             terms *= from_r
             wide[:, lvl, cols] = from_cm @ terms
+    del from_cm, from_r, terms  # not alive beside the folded copy
     _shift_to_x(wide, grid_cm.positions(), grid_r)
     # Point i of the particle window is point pad + i of the wider one, and
     # its image one particle window away is point pad + i + 2 pad, modulo
@@ -874,13 +918,13 @@ def _collision_exact(
 
 
 def _collision_point(
-    cfg: ScenarioConfig, mass: float, split: SchmidtResult,
+    cfg: ScenarioConfig, mass: float, split: SchmidtResult, run,
     residual_norm: float, relative: StateVector,
 ) -> CollisionPoint:
-    """One mass of the sweep from its start's Jacobi split; `relative` is
-    the sweep's factorized relative state at t_final, which does not depend
-    on the mass."""
-    final, times, energies, couplings, norm_drift = _collision_exact(cfg, mass, split)
+    """One mass of the sweep from its start's Jacobi split and its part of
+    the stacked relative run; `relative` is the sweep's factorized relative
+    state at t_final, which does not depend on the mass."""
+    final, times, energies, couplings, norm_drift = _collision_exact(cfg, mass, split, run)
     worst_initial, worst_final = _check_three_periods(cfg, times, couplings)
     energy_drift = _energy_drift(energies)
 
@@ -923,9 +967,10 @@ def _collision_point(
 
 
 def run_collision(cfg: ScenarioConfig) -> CollisionReport:
-    """Collision experiment over the configured mass sweep: one Jacobi run
-    per mass, and one mass-free relative run per sweep that gives the
-    residual window and the product approximation's relative state."""
+    """Collision experiment over the configured mass sweep: one stacked
+    Jacobi run of every mass's Schmidt terms, and one mass-free relative run
+    per sweep that gives the residual window and the product approximation's
+    relative state."""
     if cfg.scenario != "collision":
         raise ValidationError(f"config is for scenario {cfg.scenario!r}, not collision")
     (psi_s,) = _initial_packets(cfg)[LABEL_S]
@@ -935,9 +980,10 @@ def run_collision(cfg: ScenarioConfig) -> CollisionReport:
     # Schmidt split is kept.
     splits = [_jacobi_split(cfg, mass, phi_int) for mass in masses]
     residuals, relative = _collision_residual(cfg, phi_int, psi_s)
+    runs = _jacobi_runs(cfg, masses, splits)
     return CollisionReport([
-        _collision_point(cfg, m, split, r, relative)
-        for m, split, r in zip(masses, splits, residuals)
+        _collision_point(cfg, m, split, run, r, relative)
+        for m, split, run, r in zip(masses, splits, runs, residuals)
     ])
 
 

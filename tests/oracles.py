@@ -36,12 +36,19 @@ def kinetic_matrix(grid, mass: float, hbar: float) -> np.ndarray:
 
 
 def dense_hamiltonian(space, h) -> np.ndarray:
-    """Full Hamiltonian matrix assembled entry by entry (small spaces only)."""
+    """Full Hamiltonian matrix assembled entry by entry (small spaces only).
+    A kinetic mass given per index of the stack factor "k" takes, in each
+    row of the stack, that row's mass."""
     dims = space.dims
     total = int(np.prod(dims))
     kin = {}
     for lab, mass in h.kinetic.items():
-        kin[space.axis(lab)] = kinetic_matrix(space.factor(lab).grid, mass, h.hbar)
+        grid = space.factor(lab).grid
+        if np.ndim(mass):
+            kin[space.axis(lab)] = (space.axis("k"),
+                                    [kinetic_matrix(grid, m, h.hbar) for m in mass])
+        else:
+            kin[space.axis(lab)] = (None, [kinetic_matrix(grid, mass, h.hbar)])
     pots = {}
     for lab, spec in h.potentials.items():
         grid = space.factor(lab).grid
@@ -71,8 +78,9 @@ def dense_hamiltonian(space, h) -> np.ndarray:
         for c in range(total):
             ci = np.unravel_index(c, dims)
             value = 0.0 + 0.0j
-            for axis, t_mat in kin.items():
+            for axis, (stack, t_mats) in kin.items():
                 if all(ri[a] == ci[a] for a in range(len(dims)) if a != axis):
+                    t_mat = t_mats[0 if stack is None else ri[stack]]
                     value += t_mat[ri[axis], ci[axis]]
             if ri == ci:
                 for axis, v in pots.items():
@@ -202,12 +210,12 @@ def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def grid_collision_exact(cfg, mass: float, split):
+def grid_collision_exact(cfg, mass: float, split, run):
     """The collision's exact run at one mass on the (A_cm, A_int, S) grid,
     in the form of `scenarios._collision_exact`: the final state, and the
     run's checkpoint times, <H> and <H_coupling> at each, and norm drift
-    (the whole H propagates, so <H> lacks nothing).  The Jacobi split is
-    not used.
+    (the whole H propagates, so <H> lacks nothing).  The Jacobi split and
+    the mass's part of the stacked relative run are not used.
 
     The product of the heavy packet, the level state and the particle packet
     is lifted to the auxiliary frame and propagated as one array under the

@@ -434,8 +434,10 @@ def test_checkpoints_do_not_change_merged_propagation():
 
 
 def threaded_system(levels: int = 2):
-    """Level slabs of 256 x 128 = 2**15 amplitudes, the size from which a
-    step's rows run on threads, with a coordinate anchor and two kinetic axes."""
+    """A coupling anchored to a coordinate that no kinetic term moves, the
+    stacked factor of the run, as in the residual window's grid check:
+    256 anchors x levels x 128 points, so that blocks of one or two CPUs
+    hold THREADED_SLAB amplitudes or more."""
     rng = np.random.default_rng(21)
     space = Space((
         Factor.coordinate("A_cm", fs.Grid(256, -2.0, 2.0)),
@@ -443,7 +445,7 @@ def threaded_system(levels: int = 2):
         Factor.coordinate("S", fs.Grid(128, -8.0, 8.0)),
     ))
     h = fs.HamiltonianSpec(
-        kinetic={"A_cm": 50.0, "S": 1.3},
+        kinetic={"S": 1.3},
         internal=("q", random_hermitian(rng, levels)),
         interaction=fs.Interaction(
             subject="S",
@@ -454,8 +456,33 @@ def threaded_system(levels: int = 2):
         ),
     )
     psi = random_state(space, 22)
-    assert psi.amplitudes.size // levels == fs.dynamics.THREADED_SLAB
+    assert psi.amplitudes.size // 2 >= fs.dynamics.THREADED_SLAB
     return psi, h
+
+
+def mass_stack_system(levels: int = 2, masses=(1.3, 1.3, 1.3, 4.2, 4.2)):
+    """A stack of rows k, each with its own kinetic mass (here three rows of
+    one mass and two of another), on levels x 64 points, with a potential
+    and a coupling frozen at 0.3."""
+    rng = np.random.default_rng(23)
+    space = Space((
+        Factor.level("k", len(masses)),
+        Factor.level("q", levels),
+        Factor.coordinate("S", fs.Grid(64, -8.0, 8.0)),
+    ))
+    h = fs.HamiltonianSpec(
+        kinetic={"S": np.array(masses)},
+        potentials={"S": rng.standard_normal(64)},
+        internal=("q", random_hermitian(rng, levels)),
+        interaction=fs.Interaction(
+            subject="S",
+            profile=fs.gaussian_profile(0.9, 1.1),
+            level="q",
+            coupling=random_hermitian(rng, levels),
+            anchor_position=0.3,
+        ),
+    )
+    return random_state(space, 24), h
 
 
 def usable_cpus(monkeypatch, n: int) -> None:
@@ -476,29 +503,48 @@ def thread_pools(monkeypatch):
     return sizes
 
 
+def level_first_blocks(psi, h) -> list[slice]:
+    """The stacked factor's blocks of psi's run under h, rows of axis 1 of
+    the level-first order."""
+    factors = sorted(psi.space.factors, key=lambda f: f.label != "q")
+    stepper = fs.dynamics._GridHamiltonian(Space(tuple(factors)), h)
+    return [index[1] for index in fs.dynamics._stacked_blocks(stepper)]
+
+
 @pytest.mark.parametrize("levels", [2, 4])
 def test_threaded_rows_equal_inline_rows(monkeypatch, thread_pools, levels):
-    psi, h = threaded_system(levels)
-    runs = {}
+    """Blocks of the stacked factor carried on threads give every
+    checkpoint, <H> and <H_coupling> bit for bit as one block on the calling
+    thread, at 1, 2 and 64 usable CPUs: a stack of two masses' rows, which
+    two CPUs cut inside the first mass's rows, and a coupling anchored to a
+    coordinate that no kinetic term moves."""
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # workers interleave often; each writes its own rows
-    try:
-        for cpus in (1, 2, 64):
-            usable_cpus(monkeypatch, cpus)
-            runs[cpus] = fs.evolve_exact(psi, h, 1e-3, 6, 2)
-    finally:
-        sys.setswitchinterval(interval)
-    # One helper fewer than the rows' workers: none inline, never more than
-    # levels or CPUs.
-    assert thread_pools == [1, levels - 1]
-    inline = runs[1]
-    assert len(inline.trajectory) == 4
-    for threaded in (runs[2], runs[64]):
-        for (t1, a), (t2, b) in zip(inline.trajectory, threaded.trajectory, strict=True):
-            assert t1 == t2
-            assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert np.array_equal(inline.energies, threaded.energies)
-        assert np.array_equal(inline.couplings, threaded.couplings)
+    for system, slab in ((mass_stack_system, 1), (threaded_system, fs.dynamics.THREADED_SLAB)):
+        monkeypatch.setattr(fs.dynamics, "THREADED_SLAB", slab)
+        psi, h = system(levels)
+        runs = {}
+        sys.setswitchinterval(1e-5)  # workers interleave often; each writes its own block
+        try:
+            for cpus in (1, 2, 64):
+                usable_cpus(monkeypatch, cpus)
+                runs[cpus] = fs.evolve_exact(psi, h, 1e-3, 6, 2)
+        finally:
+            sys.setswitchinterval(interval)
+        if system is mass_stack_system:
+            usable_cpus(monkeypatch, 2)
+            assert level_first_blocks(psi, h) == [slice(0, 2), slice(2, 5)]
+        inline = runs[1]
+        assert len(inline.trajectory) == 4
+        for threaded in (runs[2], runs[64]):
+            for (t1, a), (t2, b) in zip(inline.trajectory, threaded.trajectory, strict=True):
+                assert t1 == t2
+                assert np.array_equal(a.amplitudes, b.amplitudes)
+            assert np.array_equal(inline.energies, threaded.energies)
+            assert np.array_equal(inline.couplings, threaded.couplings)
+    # One helper fewer than the blocks, none at one CPU: five rows at 64
+    # CPUs make five blocks; the anchors, as many blocks as hold
+    # THREADED_SLAB amplitudes.
+    assert thread_pools == [1, 4, 1, 2 * levels - 1]
 
 
 def stacked(states: list[StateVector]) -> StateVector:
@@ -536,13 +582,80 @@ def test_stacked_rows_equal_their_own_runs(monkeypatch, thread_pools, system, cp
         for (t1, a), (t2, b) in zip(stack.trajectory, own.trajectory, strict=True):
             assert t1 == t2
             assert np.array_equal(a.amplitudes[n], b.amplitudes)
-    # Only the large slabs on two CPUs share their rows with a helper thread.
+    # Only the large blocks on two CPUs share the rows with a helper thread.
     threaded = system is threaded_system and cpus == 2
     assert thread_pools == ([1] * 3 if threaded else [])
 
 
-def layout_system():
-    """A coordinate anchor and a level factor between two kinetic axes."""
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rows_with_their_own_masses_equal_their_own_runs(monkeypatch, cpus):
+    """Each mass's rows of a stack with one kinetic mass per row are, at
+    every checkpoint, bit for bit that mass's own run under its one mass,
+    as one block and in blocks cut inside the first mass's rows."""
+    monkeypatch.setattr(fs.dynamics, "THREADED_SLAB", 1)
+    usable_cpus(monkeypatch, cpus)
+    psi, h = mass_stack_system()
+    stack = fs.evolve_exact(psi, h, 1e-3, 5, 2)
+    assert len(stack.trajectory) == 4
+    masses = h.kinetic["S"]
+    for rows in (slice(0, 3), slice(3, 5)):
+        part = Space((Factor.level("k", rows.stop - rows.start), *psi.space.factors[1:]))
+        own = fs.evolve_exact(StateVector(part, psi.amplitudes[rows]),
+                              replace(h, kinetic={"S": float(masses[rows.start])}), 1e-3, 5, 2)
+        for (t1, a), (t2, b) in zip(stack.trajectory, own.trajectory, strict=True):
+            assert t1 == t2
+            assert np.array_equal(a.amplitudes[rows], b.amplitudes)
+
+
+@pytest.mark.parametrize("order", ["kSq", "Sqk"])
+def test_per_row_masses_match_dense_oracle(monkeypatch, order):
+    """<H> and <H_coupling> of a stack with one kinetic mass per row k, and
+    the L x L matrices, meet the dense oracle within 1e-10, with k first and
+    last, summed whole and in blocks of 8 amplitudes."""
+    rng = np.random.default_rng(41)
+    factors = {"k": Factor.level("k", 3), "S": Factor.coordinate("S", fs.Grid(8, -4.0, 4.0)),
+               "q": Factor.level("q", 2)}
+    psi = random_state(Space(tuple(factors[label] for label in order)), 42)
+    h = fs.HamiltonianSpec(
+        kinetic={"S": np.array([1.3, 2.0, 7.5])},
+        potentials={"S": rng.standard_normal(8)},
+        internal=("q", random_hermitian(rng, 2)),
+        interaction=fs.Interaction(subject="S", profile=fs.gaussian_profile(0.9, 1.1),
+                                   level="q", coupling=random_hermitian(rng, 2)),
+    )
+    check_against_dense_oracle(psi, h)
+    monkeypatch.setattr(fs.dynamics, "DIAGNOSTIC_CHUNK", 8)
+    check_against_dense_oracle(psi, h)
+
+
+@pytest.mark.parametrize("masses, labels", [
+    ([1.0, -2.0, 3.0], "kS"),
+    ([1.0, 0.0, 3.0], "kS"),
+    ([1.0, np.inf, 3.0], "kS"),
+    ([1.0, np.nan, 3.0], "kS"),
+    ([1.0, 2.0], "kS"),
+    ([[1.0, 2.0, 3.0]], "kS"),
+    ([1.0, 2.0, 3.0], "S"),
+    (np.nan, "S"),
+    (np.inf, "S"),
+    (-1.0, "S"),
+], ids=["negative", "zero", "infinite", "nan", "short", "2-d", "no-stack",
+        "one-nan", "one-infinite", "one-negative"])
+def test_kinetic_masses_are_checked(masses, labels):
+    """A kinetic mass, one or one per row, must be positive and finite, and
+    a mass per row needs one per index of the stack factor k; anything else
+    is a validation error before a step (a NaN mass used to propagate NaN)."""
+    factors = {"k": Factor.level("k", 3), "S": Factor.coordinate("S", fs.Grid(8, -4.0, 4.0))}
+    psi = random_state(Space(tuple(factors[label] for label in labels)), 43)
+    h = fs.HamiltonianSpec(kinetic={"S": np.array(masses) if np.ndim(masses) else masses})
+    with pytest.raises(ValidationError, match="kinetic mass"):
+        fs.evolve_exact(psi, h, 1e-3, 1)
+
+
+def stepping_layout_system(cm_kinetic: bool = False):
+    """A coordinate anchor, a level factor and a kinetic axis S; with
+    cm_kinetic the anchor moves too, and the level factor lies between two
+    kinetic axes."""
     rng = np.random.default_rng(31)
     space = Space((
         Factor.coordinate("A_cm", fs.Grid(16, -2.0, 2.0)),
@@ -550,7 +663,7 @@ def layout_system():
         Factor.coordinate("S", fs.Grid(32, -8.0, 8.0)),
     ))
     h = fs.HamiltonianSpec(
-        kinetic={"A_cm": 50.0, "S": 1.3},
+        kinetic={"A_cm": 50.0, "S": 1.3} if cm_kinetic else {"S": 1.3},
         potentials={"S": rng.standard_normal(32)},
         internal=("q", random_hermitian(rng, 3)),
         interaction=fs.Interaction(subject="S", profile=fs.gaussian_profile(0.9, 1.1),
@@ -569,16 +682,18 @@ def checkpoints_in(run, labels) -> list[np.ndarray]:
     return out
 
 
-@pytest.mark.parametrize("system, layouts", [
-    (layout_system, [(0, 1, 2), (1, 0, 2), (0, 2, 1)]),
-    (lambda: free_system(5), [(0,)]),
-], ids=["levels", "no-levels"])
-def test_steps_do_not_depend_on_the_layout(monkeypatch, thread_pools, system, layouts):
-    """The level factor first, in the middle or last, rows inline or on
-    threads, and a state with no level factor: every checkpoint is
-    bit-equal once its axes are permuted back.  Each stored checkpoint is a
-    C-contiguous array in the caller's factor order, and equals the final
-    state of a run that stops there, so later steps leave it unchanged."""
+@pytest.mark.parametrize("system, layouts, pools", [
+    (stepping_layout_system, [(0, 1, 2), (1, 0, 2), (0, 2, 1)], [1] * 3),
+    (partial(stepping_layout_system, True), [(0, 1, 2), (1, 0, 2), (0, 2, 1)], []),
+    (lambda: free_system(5), [(0,)], []),
+], ids=["levels", "levels-two-kinetic-axes", "no-levels"])
+def test_steps_do_not_depend_on_the_layout(monkeypatch, thread_pools, system, layouts, pools):
+    """The level factor first, in the middle or last, blocks of the anchor
+    on threads or the whole state inline, and a state with no level factor:
+    every checkpoint is bit-equal once its axes are permuted back.  Each
+    stored checkpoint is a C-contiguous array in the caller's factor order,
+    and equals the final state of a run that stops there, so later steps
+    leave it unchanged."""
     monkeypatch.setattr(fs.dynamics, "THREADED_SLAB", 1)
     psi, h = system()
     labels = psi.space.labels
@@ -591,8 +706,9 @@ def test_steps_do_not_depend_on_the_layout(monkeypatch, thread_pools, system, la
             run = fs.evolve_exact(moved, h, 1e-3, 5, 1)
             assert all(s.space == moved.space for _, s in run.trajectory)
             runs.append(checkpoints_in(run, labels))
-    # Without a level factor a step is one row, which runs inline.
-    assert thread_pools == ([1] * len(layouts) if psi.space.has("q") else [])
+    # Two CPUs cut the anchor into two blocks; where a kinetic term moves
+    # the first non-level axis, or there is no other, the state is one block.
+    assert thread_pools == pools
     for other in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], other, strict=True))
     for n, stored in enumerate(runs[0], start=1):
@@ -600,11 +716,29 @@ def test_steps_do_not_depend_on_the_layout(monkeypatch, thread_pools, system, la
         assert np.array_equal(stored, alone)
 
 
+def jacobi_like_stack(rows: int):
+    """rows x 2 x 1024 Schmidt-term rows under a relative H, the shape of a
+    collision's stacked Jacobi run."""
+    psi, h = criterion_2_system()
+    space = Space((Factor.level("k", rows), Factor.level("A_int", 2),
+                   Factor.coordinate("S", fs.Grid(1024, -48.0, 48.0))))
+    return random_state(space, 5), replace(h, kinetic={"S": 4.0},
+                                           interaction=h.interaction.frozen_at(0.0))
+
+
 def test_small_slabs_run_inline(monkeypatch, thread_pools):
+    """The whole state runs on the calling thread where no stacked factor is
+    free of kinetic terms (criterion 2's two moving coordinates), and where
+    two blocks would hold fewer than THREADED_SLAB amplitudes each, as one
+    mass's 9-row Jacobi stack would (9,216); the three shipped masses' 21
+    rows make two blocks."""
     usable_cpus(monkeypatch, 2)
     psi, h = criterion_2_system()
     fs.evolve_exact(psi, h, 1e-3, 3, 3)
+    fs.evolve_exact(*jacobi_like_stack(9), 1e-3, 3, 3)
     assert thread_pools == []
+    fs.evolve_exact(*jacobi_like_stack(21), 1e-3, 3, 3)
+    assert thread_pools == [1]
 
 
 def test_no_thread_outlives_a_propagation(monkeypatch):
@@ -617,13 +751,13 @@ def test_no_thread_outlives_a_propagation(monkeypatch):
         if threading.current_thread() is not threading.main_thread():
             helpers.add(threading.current_thread())
             if fail:
-                raise RuntimeError("ifft failed in a helper row")
+                raise RuntimeError("ifft failed in a helper block")
         return ifft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", watched)
     for _ in range(20):
         fs.evolve_exact(psi, h, 1e-3, 2, 2)
-        # The calling thread takes one of the two rows, one helper the other.
+        # The calling thread takes one of the two blocks, one helper the other.
         assert len(helpers) == 1
         assert not any(t.is_alive() for t in helpers)
         assert threading.active_count() == before
@@ -631,29 +765,40 @@ def test_no_thread_outlives_a_propagation(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifft",
                         lambda *args, **kwargs: watched(*args, fail=True, **kwargs))
-    with pytest.raises(RuntimeError, match="helper row"):
+    with pytest.raises(RuntimeError, match="helper block"):
         fs.evolve_exact(psi, h, 1e-3, 2, 2)
     assert helpers and not any(t.is_alive() for t in helpers)
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("levels", [2, 4])
-def test_calling_thread_runs_the_even_rows(monkeypatch, levels):
-    psi, h = threaded_system(levels)
-    usable_cpus(monkeypatch, 2)
-    caller, threads = threading.current_thread(), {}
+def test_calling_thread_runs_the_first_block(monkeypatch, thread_pools, levels):
+    """A 3-row stack at 64 usable CPUs gets a pool of min(rows, CPUs) - 1 = 2
+    helper threads.  The calling thread steps every level row of the first
+    block, and a helper every level row of each other block (the pool may
+    hand both to one thread that is already idle)."""
+    monkeypatch.setattr(fs.dynamics, "THREADED_SLAB", 1)
+    usable_cpus(monkeypatch, 64)
+    psi, h = mass_stack_system(levels, masses=(1.3, 1.3, 4.2))
+    caller, blocks = threading.current_thread(), {}
     step_row = fs.dynamics._GridHamiltonian.step_row
 
     def watched(self, factor, phase, amps, out, i, scratch):
-        threads.setdefault(i, set()).add(threading.current_thread())
+        if phase is not None:  # a step, not a closing W/2
+            # amps is one block of a (levels, k, S) buffer: its first row.
+            first = (amps.ctypes.data - amps.base.ctypes.data) // amps.strides[1]
+            blocks.setdefault(first, {}).setdefault(threading.current_thread(), set()).add(i)
         step_row(self, factor, phase, amps, out, i, scratch)
 
     monkeypatch.setattr(fs.dynamics._GridHamiltonian, "step_row", watched)
     fs.evolve_exact(psi, h, 1e-3, 2, 2)
-    assert sorted(threads) == list(range(levels))
-    assert all(threads[i] == {caller} for i in range(0, levels, 2))
-    odd = set().union(*(threads[i] for i in range(1, levels, 2)))
-    assert len(odd) == 1 and caller not in odd
+    assert thread_pools == [2]
+    assert sorted(blocks) == [0, 1, 2]
+    assert blocks[0] == {caller: set(range(levels))}
+    helpers = [blocks[b] for b in (1, 2)]
+    assert all(len(threads) == 1 and caller not in threads for threads in helpers)
+    assert all(rows == set(range(levels)) for threads in helpers for rows in threads.values())
+    assert 1 <= len(set().union(*helpers)) <= 2
 
 
 FORKED_PROPAGATION = """

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +216,9 @@ def test_collision_propagates_residual_once(monkeypatch):
     original = fs.dynamics.evolve_exact
 
     def short(psi0, h, dt, steps, checkpoint_every=100):
-        kinetic = tuple(sorted(h.kinetic.items()))
+        # Each kinetic mass as a tuple: one per row of a stack, or one.
+        kinetic = tuple((label, tuple(np.ravel(mass).tolist()))
+                        for label, mass in sorted(h.kinetic.items()))
         calls[psi0.space.dims, kinetic, steps > 0] += 1
         return original(psi0, h, dt, min(steps, 2), checkpoint_every)
 
@@ -243,23 +246,29 @@ def test_collision_propagates_residual_once(monkeypatch):
     # anchors is checked by one zero-step evaluation under the grid H, and
     # the rows by one under H_rel.
     (waves,) = [dims for dims, kinetic, steps in calls
-                if kinetic == (("S", m),) and steps]
+                if kinetic == (("S", (m,)),) and steps]
     rows = (waves[0] - 1, *waves[1:])
     assert 16 < rows[0] < cm.residual_points and waves[1:] == (2, 512)
-    assert calls[waves, (("S", m),), True] == 1
-    assert calls[(cm.residual_points, 2, 512), (("S", m),), False] == 1
-    assert calls[rows, (("S", m),), False] == 1
-    assert starts == Counter(m * mass / (m + mass) for mass in cm.masses)
+    assert calls[waves, (("S", (m,)),), True] == 1
+    assert calls[(cm.residual_points, 2, 512), (("S", (m,)),), False] == 1
+    assert calls[rows, (("S", (m,)),), False] == 1
+    mus = [m * mass / (m + mass) for mass in cm.masses]
+    assert starts == Counter(mus)
+    # One stacked relative run of every mass's Schmidt terms, K_M rows each
+    # with that mass's reduced mass mu_M, in the order of the masses.
+    (jacobi,) = [(dims, kinetic) for dims, kinetic, steps in calls
+                 if steps and dims[1:] == (2, 1024)]
+    (dims, ((label, per_row),)) = jacobi
+    ranks = [per_row.count(mu) for mu in mus]
+    assert label == "S" and per_row == tuple(np.repeat(mus, ranks))
+    assert dims[0] == sum(ranks) and all(1 < k < 16 for k in ranks)
+    assert calls[dims, jacobi[1], True] == 1
     for mass in cm.masses:
-        # One stacked relative run with the reduced mass, over the Schmidt
-        # terms of the start; one zero-step check of the state mapped back
-        # to the grid; the free center-of-mass packet.
-        mu = (("S", m * mass / (m + mass)),)
-        (stacked,) = [dims for dims, kinetic, steps in calls if kinetic == mu]
-        assert len(stacked) == 3 and 1 < stacked[0] < 16 and calls[stacked, mu, True] == 1
-        assert calls[(cm.points, 2, 512), (("A_cm", mass), ("S", m)), False] == 1
-        assert calls[(cm.points,), (("A_cm", mass),), True] == 1
-    assert sum(calls.values()) == 3 * len(cm.masses) + 3
+        # One zero-step check of the state mapped back to the grid; the free
+        # center-of-mass packet.
+        assert calls[(cm.points, 2, 512), (("A_cm", (mass,)), ("S", (m,))), False] == 1
+        assert calls[(cm.points,), (("A_cm", (mass,)),), True] == 1
+    assert sum(calls.values()) == 2 * len(cm.masses) + 4
     scaled = [p.residual_norm * p.mass for p in report.points]
     assert scaled[0] > 0.0
     assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
@@ -522,7 +531,7 @@ def test_jacobi_map_back_matches_the_per_term_oracle(mass, p0):
     in norm (measured: 2.1e-15 to 1.5e-14).  With p0 = 24 the packet runs
     round the particle window's seam (30% of the final weight lies in its
     first 16 points), so the fold is checked too.  The oracle maps the
-    stacked run that _collision_exact made, which it does not return."""
+    stacked run that _jacobi_runs made, which it does not return."""
     cfg, split = fast_split(mass, p0)
     runs, original = [], fs.dynamics.evolve_exact
 
@@ -534,13 +543,62 @@ def test_jacobi_map_back_matches_the_per_term_oracle(mass, p0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("framesim.scenarios.evolve_exact", spy)
-        final, times, *_ = fs.scenarios._collision_exact(cfg, mass, split)
+        (part,) = fs.scenarios._jacobi_runs(cfg, [mass], [split])
+        final, times, *_ = fs.scenarios._collision_exact(cfg, mass, split, part)
     (run,) = runs
-    assert times == [t for t, _ in run.trajectory]
+    steps, every = fs.scenarios._steps_for(cfg), cfg.checkpoint_every
+    assert times == [n * cfg.dt for n in (*range(0, steps, every), steps)]
+    assert times[-1] == run.trajectory[-1][0]
     want = jacobi_map_back(cfg, mass, split, run)
     assert final.space.labels == want.space.labels and final.space.dims == want.space.dims
     gap = np.linalg.norm(final.amplitudes - want.amplitudes)
     assert gap <= 1e-12 * np.linalg.norm(want.amplitudes)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stacked_masses_equal_their_own_runs(monkeypatch, cpus):
+    """Each mass's rows of the one stacked Jacobi run are, at every
+    checkpoint, bit for bit the stacked run of that mass's terms alone under
+    its own H_rel, and its times, <H_rel>, <H_coupling> and norm drift are
+    that run's, on one CPU and in two blocks cut inside the second mass's
+    rows."""
+    raw = fast_collision_dict()
+    raw["center_of_mass"]["masses"] = [100.0, 1000.0, 10000.0]
+    cfg = ScenarioConfig.from_dict(raw)
+    masses = cfg.center_of_mass.masses
+    phi_int = fs.level_state("A_int", cfg.internal.state)
+    splits = [fs.scenarios._jacobi_split(cfg, mass, phi_int) for mass in masses]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    checkpoints, original = [], fs.dynamics.evolve_exact
+
+    def spy(psi0, h, dt, steps, checkpoint_every=100):
+        receive = checkpoint_every.receive
+
+        def keep(t, state):
+            checkpoints.append(state.amplitudes)
+            receive(t, state)
+
+        return original(psi0, h, dt, steps, replace(checkpoint_every, receive=keep))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("framesim.scenarios.evolve_exact", spy)
+        runs = fs.scenarios._jacobi_runs(cfg, masses, splits)
+    bounds = np.cumsum([0] + [split.rank for split in splits])
+    assert bounds[1] < bounds[-1] // 2 < bounds[2]
+    pad = fs.scenarios._wide_grid(cfg).n_points // 4
+    for mass, split, lo, hi, (rows, times, energies, couplings, drift) in zip(
+            masses, splits, bounds[:-1], bounds[1:], runs, strict=True):
+        start = np.pad([c * g.amplitudes for c, g in zip(split.coefficients, split.right_states)],
+                       ((0, 0), (0, 0), (pad, pad)))
+        own = fs.evolve_exact(StateVector(rows.space, start),
+                              fs.scenarios._relative_hamiltonian(cfg, mass), cfg.dt,
+                              fs.scenarios._steps_for(cfg), cfg.checkpoint_every)
+        assert times == [t for t, _ in own.trajectory]
+        for state, (_, want) in zip(checkpoints, own.trajectory, strict=True):
+            assert np.array_equal(state[lo:hi], want.amplitudes)
+        assert np.array_equal(rows.amplitudes, own.final.amplitudes)
+        assert energies == own.energies and couplings == own.couplings
+        assert drift == own.norm_drift
 
 
 @pytest.mark.parametrize("where", ["residual", "map-back"])
@@ -587,20 +645,30 @@ def test_jacobi_split_memory_peak():
 
 
 def test_collision_exact_memory_peak():
-    """tracemalloc's peak during one mass's exact run stays at or below
-    8.5 MiB (measured: 8.21 MiB; 11.26 MiB while the stacked run's
-    checkpoint states stayed alive through the map-back and the shift to x
-    built anchors x points phase tables, 18.3 MiB with the map-back's
-    (kappa, r) factors over the whole r grid, and 22.7 MiB with the
-    per-term map-back before that)."""
+    """tracemalloc's peak during one mass's exact run, its stacked relative
+    run and its map-back, stays at or below 7.0 MiB (measured: 6.84 MiB,
+    now that the run frees its spare buffer before its final state and the
+    map-back frees its (X, kappa) and (kappa, r) tables before the fold;
+    8.21 MiB before that; 11.26 MiB while the stacked run's checkpoint
+    states stayed alive through the map-back and the shift to x built
+    anchors x points phase tables, 18.3 MiB with the map-back's (kappa, r)
+    factors over the whole r grid, and 22.7 MiB with the per-term map-back
+    before that)."""
     cfg, split = fast_split(100.0)
-    assert traced_peak(fs.scenarios._collision_exact, cfg, 100.0, split) <= 8.5 * 2**20
+
+    def exact():
+        (run,) = fs.scenarios._jacobi_runs(cfg, [100.0], [split])
+        return fs.scenarios._collision_exact(cfg, 100.0, split, run)
+
+    assert traced_peak(exact) <= 7.0 * 2**20
 
 
 def test_collision_residual_memory_peak():
     """tracemalloc's peak during the residual window stays at or below
-    9.0 MiB (measured: 8.66 MiB, set by the grid-H check of the mapped
-    state, so freeing the start stack before the map left it as it was;
+    8.75 MiB (measured: 8.59 MiB, set by the grid-H check of the mapped
+    state; 8.66 MiB while the stacked run's start and its transposed copy
+    were alive beside two step buffers, and before that freeing the start
+    stack before the map left it as it was;
     10.1 MiB while the anchor stack was summed a
     second time for its own check; 12.1 MiB while factorization_residual
     held a full-size spectral copy of the mapped state and its |.|^2, 15.2
@@ -611,19 +679,31 @@ def test_collision_residual_memory_peak():
     (psi_s,) = fs.scenarios._initial_packets(cfg)["S"]
     phi_int = fs.level_state("A_int", cfg.internal.state)
     peak = traced_peak(fs.scenarios._collision_residual, cfg, phi_int, psi_s)
-    assert peak <= 9.0 * 2**20
+    assert peak <= 8.75 * 2**20
 
 
 def test_run_collision_memory_peak():
     """tracemalloc's peak over the whole fast collision stays at or below
-    9.0 MiB (measured: 8.69 MiB, the residual window's; 11.48 MiB, a mass
+    8.75 MiB (measured: 8.62 MiB, the residual window's; 8.69 MiB while its
+    stacked run kept a spare step buffer; 11.48 MiB, a mass
     point's, while the Jacobi run's checkpoints outlived the map-back and
     the shift to x built anchors x points phase tables; 12.1 MiB, the
     residual window's, while factorization_residual held a full-size
     spectral copy; 15.2 MiB while <T> summed whole states; 21.5 MiB before
     the residual and the map-back held one full-size array at a time)."""
     cfg = ScenarioConfig.from_dict(fast_collision_dict())
-    assert traced_peak(run_collision, cfg) <= 9.0 * 2**20
+    assert traced_peak(run_collision, cfg) <= 8.75 * 2**20
+
+
+def test_three_mass_collision_memory_peak():
+    """tracemalloc's peak over the fast collision at masses 1e2, 1e3 and
+    1e4 stays at or below 8.9 MiB (measured: 8.86 MiB, at the first mass's
+    map-back, where every mass's rows of the one stacked Jacobi run are
+    alive; 8.94 MiB, the residual window's, when each mass ran its own
+    stack)."""
+    raw = fast_collision_dict()
+    raw["center_of_mass"]["masses"] = [100.0, 1000.0, 10000.0]
+    assert traced_peak(run_collision, ScenarioConfig.from_dict(raw)) <= 8.9 * 2**20
 
 
 def test_collision_requires_collision_config():
